@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -46,6 +47,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in ("k_points", "budget", "seed", "threads"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "threads" and value is None)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("h", "J", "k_min", "k_max", "t_max"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "J" and value is None)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigError(f"out must be a string, got {self.out!r}")
         if self.k_points < 1:
             raise ConfigError(f"k_points must be at least 1, got {self.k_points}")
         if not -1.0 <= self.k_min <= self.k_max <= 1.0:
@@ -65,6 +76,14 @@ class RunConfig:
 
     def worker_count(self) -> int:
         return self.threads if self.threads is not None else (os.cpu_count() or 1)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _fmt(x: float) -> str:
@@ -234,6 +253,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as f:
             loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -288,7 +309,7 @@ def main(argv=None) -> int:
         if args.command == "mps":
             return cmd_mps(cfg, args.grid_n, args.t_probe, args.plot_script)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,10 +1,21 @@
 """Seeded stochastic maximization of w_p over protocol parameters.
 
-Two-phase search: Haar-uniform exploration of the parameter box (80% of
-the evaluation budget), then coordinate-wise golden-section refinement
-around the best few well-separated exploration candidates (the rest).
-Polar angles are drawn with cos(theta) uniform so pure-state directions
-are Haar distributed; mixedness and time are drawn uniformly.
+The auxiliary measurement is solved, not searched. At time t every outcome
+ket chi of every auxiliary basis scores w_p = <chi|A|chi>, with
+
+    A_ab = sum_i c_i rho_t[(i,a),(i,b)],   c = (E0 - h, E0 + h),
+
+so the best basis and outcome give the top eigenvalue of the 2x2 matrix A,
+and the winning basis is its top eigenvector. For a product initial state A
+is affine in the auxiliary Bloch vector, so lambda_max(A) is convex in it
+and peaks on the Bloch sphere: the auxiliary is pure (r = 1). Both families
+therefore search (polar, azimuth, t) in [0, pi] x [0, 2 pi) x [0, t_max].
+
+Two-phase search: exploration draws uniformly from that box (80% of the
+evaluation budget), then coordinate-wise golden-section refinement polishes
+the best few well-separated exploration candidates (the rest). Draws are
+uniform in the angles, not Haar-uniform on the sphere, because the optima
+sit at the poles, where Haar draws almost never land.
 
 Randomness comes from the counter-based Philox-4x64-10 generator keyed by
 a 64-bit seed, so runs are bit-reproducible and exploration chunks can be
@@ -13,6 +24,7 @@ evaluated in any partition without changing the sampled points.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -20,22 +32,16 @@ import numpy as np
 
 from .battery import HamiltonianSpec
 from .errors import ConfigError, DomainError
-from .protocol import joint_eig
+from .protocol import MeasurementBasis, joint_eig
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
 
-# Per-coordinate draw kinds, in parameter-vector order.
-_COLUMNS = {
-    SEPARABLE: ("unit", "polar", "azimuth", "time", "polar", "azimuth"),
-    ENTANGLED: ("polar", "azimuth", "time", "polar", "azimuth"),
-}
 _NAMES = {
-    SEPARABLE: ("r", "theta_aux", "phi_aux", "t", "theta_meas", "phi_meas"),
-    ENTANGLED: ("theta_schmidt", "phi_schmidt", "t", "theta_meas", "phi_meas"),
+    SEPARABLE: ("theta_aux", "phi_aux", "t"),
+    ENTANGLED: ("theta_schmidt", "phi_schmidt", "t"),
 }
 
-EXPLORE_FRACTION = 0.8
 SAMPLE_CHUNK = 8192  # full chunks are always drawn, so sample i never depends on the budget
 CONVERGENCE_WINDOW_TOL = 1e-2  # units of h, over the trailing budget/5 evaluations
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,9 +52,12 @@ _MAX_REFINE_CYCLES = 16
 class SearchSpace:
     """Protocol parameter box for one initial-state family at fixed k.
 
-    ``separable`` searches (r, theta_aux, phi_aux, t, theta_meas, phi_meas);
-    ``entangled`` searches (theta_schmidt, phi_schmidt, t, theta_meas,
-    phi_meas). Times range over [0, t_max].
+    ``separable`` searches the pure auxiliary state and the time,
+    (theta_aux, phi_aux, t); ``entangled`` searches the orientation of the
+    auxiliary Schmidt basis and the time, (theta_schmidt, phi_schmidt, t).
+    Polar angles range over [0, pi], azimuths over [0, 2 pi) and times over
+    [0, t_max]. The measurement basis is no coordinate: WpEvaluator
+    maximizes over it in closed form.
     """
 
     family: str
@@ -56,7 +65,7 @@ class SearchSpace:
     t_max: float = 10.0
 
     def __post_init__(self):
-        if self.family not in _COLUMNS:
+        if self.family not in _NAMES:
             raise ConfigError(f"unknown family {self.family!r}")
         if abs(self.k) > 1.0:
             raise DomainError(f"population bias k must lie in [-1, 1], got {self.k}")
@@ -65,39 +74,32 @@ class SearchSpace:
 
     @property
     def n_params(self) -> int:
-        return len(_COLUMNS[self.family])
+        return len(_NAMES[self.family])
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return _NAMES[self.family]
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        spans = {"unit": 1.0, "polar": math.pi, "azimuth": 2.0 * math.pi, "time": self.t_max}
-        hi = np.array([spans[kind] for kind in _COLUMNS[self.family]])
-        return np.zeros_like(hi), hi
+        return np.zeros(3), np.array([math.pi, 2.0 * math.pi, self.t_max])
 
     def transform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniform [0,1) draws (last axis = coordinates) into the box."""
-        out = np.empty_like(u)
-        for c, kind in enumerate(_COLUMNS[self.family]):
-            col = u[..., c]
-            if kind == "polar":
-                out[..., c] = np.arccos(1.0 - 2.0 * col)
-            elif kind == "azimuth":
-                out[..., c] = 2.0 * math.pi * col
-            elif kind == "time":
-                out[..., c] = self.t_max * col
-            else:
-                out[..., c] = col
-        return out
+        """Map uniform [0,1) draws (last axis = coordinates) uniformly into the box."""
+        lo, hi = self.bounds()
+        return lo + u * (hi - lo)
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome of one seeded search."""
+    """Outcome of one seeded search.
+
+    ``best_params`` follows ``SearchSpace.param_names``; ``best_basis`` is the
+    auxiliary measurement whose outcome 0 attains ``best_value`` there.
+    """
 
     best_value: float
     best_params: np.ndarray
+    best_basis: MeasurementBasis
     samples_used: int
     converged: bool
     trace: list[tuple[int, float]] = field(repr=False)
@@ -119,7 +121,7 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def sample_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
-    """One parameter vector, Haar-uniform in the angular coordinates."""
+    """One parameter vector, uniform in the box."""
     return space.transform(rng.random(space.n_params))
 
 
@@ -129,13 +131,18 @@ def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.nda
 
 
 class WpEvaluator:
-    """Vectorized w_p for batches of parameter vectors, maximized over the
-    two measurement outcomes.
+    """Vectorized w_p for batches of parameter vectors, maximized in closed
+    form over the auxiliary measurement basis and its outcome.
 
-    Uses the identity w_p = (E0 - h) M00 + (E0 + h) M11, where M is the
-    unnormalized post-measurement battery operator and E0 = h*k is the
-    initial battery energy, so no branch ever divides by its probability.
-    Agrees with protocol.best_outcome to floating-point accuracy.
+    The initial state is held as kets: a mixture of two for the separable
+    family (sqrt(p_i) |i, aux> for battery level i, since the auxiliary is
+    pure) and one for the entangled family. Each is evolved once, A is
+    built from them, and the value is lambda_max(A). Uses the identity
+    w_p = (E0 - h) M00 + (E0 + h) M11, where M is the unnormalized
+    post-measurement battery operator and E0 = h*k is the initial battery
+    energy, so no branch ever divides by its probability. Equals
+    protocol.best_outcome at the basis ``best_basis`` returns, and is at
+    least its value at any other basis.
     """
 
     def __init__(self, space: SearchSpace, spec: HamiltonianSpec):
@@ -143,81 +150,58 @@ class WpEvaluator:
         self.spec = spec
         values, vectors = joint_eig(spec)
         self._freqs = values
-        self._v = vectors
-        self._vh = vectors.conj().T
-        self._p0 = (1.0 + space.k) / 2.0
-        self._p1 = (1.0 - space.k) / 2.0
+        self._v = vectors.real  # H is real symmetric: eigh returns a real eigenbasis
         # battery marginal is diag(p0, p1) in both families
-        self._e0 = spec.h * space.k
+        self._sqrt_p = np.sqrt([(1.0 + space.k) / 2.0, (1.0 - space.k) / 2.0])
+        e0 = spec.h * space.k
+        self._c = np.array([e0 - spec.h, e0 + spec.h])
 
     def __call__(self, params) -> np.ndarray:
+        a00, a11, a01 = self._outcome_matrix(params)
+        return (a00 + a11) / 2.0 + np.hypot((a00 - a11) / 2.0, np.abs(a01))
+
+    def best_basis(self, params) -> MeasurementBasis:
+        """Basis whose outcome 0 is the top eigenvector of A at one parameter
+        vector; theta = phi = 0 when A is a multiple of the identity."""
+        (a00,), (a11,), (a01,) = self._outcome_matrix(params)
+        if a01 == 0 and a00 == a11:  # every basis ties
+            return MeasurementBasis(0.0, 0.0)
+        theta = math.atan2(abs(a01), (a00 - a11) / 2.0)
+        return MeasurementBasis(theta, cmath.phase(a01) % (2.0 * math.pi))
+
+    def _outcome_matrix(self, params):
+        """Entries A00, A11 (real) and A01 (complex) of A, one per vector."""
         p = np.atleast_2d(np.asarray(params, dtype=float))
         if p.shape[1] != self.space.n_params:
             raise ConfigError(f"expected {self.space.n_params} parameters, got {p.shape[1]}")
+        theta, phi, t = p.T
+        n = p.shape[0]
+        cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        s0, s1 = self._sqrt_p
         if self.space.family == SEPARABLE:
-            return self._separable(p)
-        return self._entangled(p)
-
-    def _measurement_kets(self, theta, phi):
-        half = theta / 2.0
-        w = np.exp(-1j * phi)
-        k0 = np.stack([np.cos(half) + 0j, w * np.sin(half)], axis=-1)
-        k1 = np.stack([np.sin(half) + 0j, -w * np.cos(half)], axis=-1)
-        return k0, k1
-
-    def _phases(self, t):
-        return np.exp(-1j * np.multiply.outer(t, self._freqs))
-
-    def _score(self, diag0, diag1):
-        h, e0 = self.spec.h, self._e0
-        return (e0 - h) * diag0 + (e0 + h) * diag1
-
-    def _separable(self, p):
-        r, th_a, ph_a, t, th_m, ph_m = p.T
-        n = p.shape[0]
-        z = r * np.cos(th_a)
-        xy = r * np.sin(th_a) * np.exp(-1j * ph_a)
-        aux = np.empty((n, 2, 2), dtype=complex)
-        aux[:, 0, 0] = (1.0 + z) / 2.0
-        aux[:, 1, 1] = (1.0 - z) / 2.0
-        aux[:, 0, 1] = xy / 2.0
-        aux[:, 1, 0] = np.conj(xy) / 2.0
-
-        rho0 = np.zeros((n, 4, 4), dtype=complex)
-        rho0[:, :2, :2] = self._p0 * aux
-        rho0[:, 2:, 2:] = self._p1 * aux
-
-        u = (self._v[None, :, :] * self._phases(t)[:, None, :]) @ self._vh
-        rho_t = u @ rho0 @ u.conj().transpose(0, 2, 1)
-        blocks = rho_t.reshape(n, 2, 2, 2, 2)
-
-        best = np.full(n, -np.inf)
-        for chi in self._measurement_kets(th_m, ph_m):
-            diag = np.einsum("na,niaib,nb->ni", chi.conj(), blocks, chi).real
-            np.maximum(best, self._score(diag[:, 0], diag[:, 1]), out=best)
-        return best
-
-    def _entangled(self, p):
-        th_s, ph_s, t, th_m, ph_m = p.T
-        n = p.shape[0]
-        half = th_s / 2.0
-        w = np.exp(-1j * ph_s)
-        a, b = math.sqrt(self._p0), math.sqrt(self._p1)
-        psi0 = np.empty((n, 4), dtype=complex)
-        psi0[:, 0] = a * np.cos(half)
-        psi0[:, 1] = a * w * np.sin(half)
-        psi0[:, 2] = b * np.sin(half)
-        psi0[:, 3] = -b * w * np.cos(half)
-
-        psi_t = ((psi0 @ self._vh.T) * self._phases(t)) @ self._v.T
-        split = psi_t.reshape(n, 2, 2)
-
-        best = np.full(n, -np.inf)
-        for chi in self._measurement_kets(th_m, ph_m):
-            amps = np.einsum("na,nia->ni", chi.conj(), split)
-            weights = np.abs(amps) ** 2
-            np.maximum(best, self._score(weights[:, 0], weights[:, 1]), out=best)
-        return best
+            # aux = (cos, e^{i phi} sin) has Bloch angles (theta, phi), as in bloch_state
+            aux_1 = np.exp(1j * phi) * sin
+            kets = np.zeros((2, n, 4), dtype=complex)
+            kets[0, :, 0], kets[0, :, 1] = s0 * cos, s0 * aux_1
+            kets[1, :, 2], kets[1, :, 3] = s1 * cos, s1 * aux_1
+        else:
+            # sqrt(p0)|0,chi> + sqrt(p1)|1,chi_perp>, as in protocol.entangled_ket
+            w = np.exp(-1j * phi)
+            kets = np.stack([s0 * cos, s0 * w * sin, s1 * sin, -s1 * w * cos], axis=-1)[None]
+        m = kets.shape[0]
+        # U(t) = V diag(e^{-iEt}) V^T with V real; real and imaginary parts go
+        # through real matrix products, which cost far less than complex ones
+        re, im = kets.real @ self._v, kets.imag @ self._v
+        et = np.multiply.outer(t, self._freqs)
+        cos_et, sin_et = np.cos(et), np.sin(et)
+        re, im = re * cos_et + im * sin_et, im * cos_et - re * sin_et
+        amp = (re @ self._v.T + 1j * (im @ self._v.T)).reshape(m, n, 2, 2)
+        col0, col1 = amp[..., 0], amp[..., 1]  # auxiliary a = 0, 1; last axis battery level i
+        c = self._c  # weight c_i of battery level i
+        a00 = ((col0.real**2 + col0.imag**2) * c).sum(axis=(0, 2))
+        a11 = ((col1.real**2 + col1.imag**2) * c).sum(axis=(0, 2))
+        a01 = (col0 * col1.conj() * c).sum(axis=(0, 2))
+        return a00, a11, a01
 
 
 def optimize(
@@ -225,7 +209,9 @@ def optimize(
 ) -> OptimizationReport:
     """Maximize w_p over the search space with a fixed evaluation budget.
 
-    Exploration scans Haar-uniform samples; refinement then runs golden-
+    Every evaluation already takes the best auxiliary measurement (the top
+    eigenvalue of A), so only (polar, azimuth, t) is searched. Exploration
+    scans samples drawn uniformly from the box; refinement then runs golden-
     section line searches coordinate by coordinate around each leaderboard
     candidate, shrinking the bracket every cycle, until its budget share is
     spent or the polish stops paying. ``converged`` reports whether the
@@ -315,11 +301,13 @@ def optimize(
 
     samples_used = used + refine_used
     # convergence is judged on the random-sampling phase: did the trailing
-    # ceil(budget/5) Haar samples still move the running best by >= 1e-2 h?
+    # ceil(budget/5) random samples still move the running best by >= 1e-2 h?
     window = math.ceil(budget / 5)
     baseline = _running_best_at(trace, max(n_explore - window, 1))
     converged = (explore_best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
-    return OptimizationReport(best, best_x, samples_used, converged, trace, seed)
+    return OptimizationReport(
+        best, best_x, evaluator.best_basis(best_x), samples_used, converged, trace, seed
+    )
 
 
 _LEADERBOARD_SIZE = 8

@@ -164,7 +164,7 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
         theta = math.pi * rng.random()
         rho0 = analytic.separable_initial_bloch(s, theta)
         wps = np.array([run_protocol(rho0, spec, t, Z_BASIS, 1).w_p for t in times])
-        fit = float(np.sum(wps * times**4) / np.sum(times**8))
+        fit = float(np.sum(wps * times**4) / np.sum(times**8)) / spec.h
         coeff = analytic.wp_small_t(s, theta, spec)
         if coeff == 0.0:
             worst = max(worst, abs(fit))

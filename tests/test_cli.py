@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qbattery.battery import HamiltonianSpec
 from qbattery.cli import RunConfig, build_parser, cmd_verify, main, resolve_config, sweep_values
 from qbattery.errors import ConfigError
+from qbattery.verify import run_suites
 
 
 def read_csv(path):
@@ -33,6 +35,15 @@ class TestRunConfig:
             {"budget": 0},
             {"t_max": 0.0},
             {"threads": 0},
+            {"k_points": "5"},
+            {"budget": 2.5},
+            {"seed": True},
+            {"threads": 2.0},
+            {"h": "1"},
+            {"J": False},
+            {"k_min": None},
+            {"t_max": [10]},
+            {"out": 5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -57,6 +68,19 @@ class TestConfigResolution:
         args = build_parser().parse_args(["sweep", "unitary", "--config", str(config)])
         with pytest.raises(ConfigError):
             resolve_config(args)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"k_pionts": 9}', b'{"k_points": "5"}', b'{"budget": 2.5}', b'{"seed": true}',
+         b'{"out": 5}', b"[1, 2]", b'"run"', b"3", b"{", b"\xff\xfe{}"],
+    )
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, content):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        assert main(["sweep", "separable", "--config", str(config), "--out",
+                     str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestSweep:
@@ -150,6 +174,11 @@ class TestVerify:
         assert cmd_verify(RunConfig(), closed_form_tol=1e-17) == 1
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-oracle" in out
+
+    @pytest.mark.parametrize("h, j", [(2.0, 4.0), (0.5, 1.0)])
+    def test_every_suite_passes_away_from_unit_field(self, h, j):
+        failed = [r.name for r in run_suites(HamiltonianSpec(h, j), 123456789) if not r.passed]
+        assert failed == []
 
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0
