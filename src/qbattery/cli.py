@@ -1,8 +1,10 @@
 """Command-line driver: k-sweeps, figure insets, self-verification, and the
 measurement-passivity scan, all emitting deterministic CSV.
 
-Energies in the output are in units of h and times in units of 1/h. Every
-stochastic row carries the derived per-point seed that reproduces it.
+Energies in the output are in units of h and times (``--t-max``,
+``--t-probe``) in units of 1/h: the CLI converts both once, at this edge, so
+the package below works in absolute units. Every stochastic row carries the
+derived per-point seed that reproduces it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class RunConfig:
     k_points: int = 81
     budget: int = DEFAULT_BUDGET
     seed: int = DEFAULT_SEED
-    t_max: float = 10.0
+    t_max: float = 10.0  # units of 1/h
     threads: int | None = None
     out: str | None = None
 
@@ -109,15 +111,19 @@ def _optimize_task(task) -> tuple[float, bool, int]:
 
 
 def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, int, int]]:
-    """(k, value, converged, samples, seed) per grid point, in k order."""
+    """(k, value, converged, samples, seed) per grid point, in k order; values
+    in units of h."""
     ks = cfg.k_grid()
     spec = cfg.spec()
     if family == "unitary":
-        return [(float(k), ergotropy(battery_state(k), spec), True, 0, cfg.seed) for k in ks]
+        return [
+            (float(k), ergotropy(battery_state(k), spec) / spec.h, True, 0, cfg.seed) for k in ks
+        ]
     if family not in ("separable", "entangled"):
         raise ConfigError(f"unknown sweep family {family!r}")
+    t_max = cfg.t_max / spec.h
     tasks = [
-        (family, float(k), spec.h, spec.J, cfg.t_max, cfg.budget, derive_seed(cfg.seed, i))
+        (family, float(k), spec.h, spec.J, t_max, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
     ]
     workers = min(cfg.worker_count(), len(tasks))
@@ -127,7 +133,7 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_optimize_task, tasks))
     return [
-        (task[1], value, converged, samples, task[6])
+        (task[1], value / spec.h, converged, samples, task[6])
         for task, (value, converged, samples) in zip(tasks, results)
     ]
 
@@ -198,12 +204,13 @@ def cmd_mps(
     plot_script: str | None = None,
 ) -> int:
     out = cfg.out or "mps.csv"
-    report = analytic.mps_scan(grid_n, cfg.spec(), t_probe)
+    h = cfg.spec().h
+    report = analytic.mps_scan(grid_n, cfg.spec(), None if t_probe is None else t_probe / h)
     rows = []
     for i, s in enumerate(report.s_grid):
         for j, theta in enumerate(report.theta_grid):
             verdict = "passive" if report.passive[i, j] else "extractable"
-            rows.append((_fmt(s), _fmt(theta), _fmt(report.max_wp[i, j]), verdict))
+            rows.append((_fmt(s), _fmt(theta), _fmt(report.max_wp[i, j] / h), verdict))
     _write_csv(out, "s,theta,max_wp,verdict", rows)
     print(f"wrote {len(rows)} rows to {out} (energy in h, time in 1/h)")
     print(f"passive points: {report.passive_count}")
@@ -274,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k-points", type=int, dest="k_points", default=None)
     common.add_argument("--budget", type=int, default=None, help="evaluations per grid point")
     common.add_argument("--seed", type=int, default=None, help="64-bit run seed")
-    common.add_argument("--t-max", type=float, dest="t_max", default=None)
+    common.add_argument(
+        "--t-max", type=float, dest="t_max", default=None, help="time bound in 1/h (default 10)"
+    )
     common.add_argument("--threads", type=int, default=None, help="worker pool size")
     common.add_argument("--out", type=str, default=None, help="output CSV path")
     common.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
@@ -292,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[common], help="run the self-check suites")
     mps = sub.add_parser("mps", parents=[common], help="measurement-passivity scan")
     mps.add_argument("--grid-n", type=int, dest="grid_n", default=101)
-    mps.add_argument("--t-probe", type=float, dest="t_probe", default=None)
+    mps.add_argument(
+        "--t-probe", type=float, dest="t_probe", default=None, help="probe time in 1/h (default 0.1)"
+    )
     return parser
 
 

@@ -12,10 +12,13 @@ and peaks on the Bloch sphere: the auxiliary is pure (r = 1). Both families
 therefore search (polar, azimuth, t) in [0, pi] x [0, 2 pi) x [0, t_max].
 
 Two-phase search: exploration draws uniformly from that box (80% of the
-evaluation budget), then coordinate-wise golden-section refinement polishes
-the best few well-separated exploration candidates (the rest). Draws are
-uniform in the angles, not Haar-uniform on the sphere, because the optima
-sit at the poles, where Haar draws almost never land.
+evaluation budget), then a lattice zoom refines the best few well-separated
+exploration candidates (the leaders) in lockstep. Each zoom step evaluates
+the 5x5x5 lattice x + {-1, -1/2, 0, 1/2, 1}^3 * w around every leader x,
+clipped to the box, in one batch; a leader moves to its lattice maximum when
+that beats its value, and the width w halves. Draws are uniform in the
+angles, not Haar-uniform on the sphere, because the optima sit at the poles,
+where Haar draws almost never land.
 
 Randomness comes from the counter-based Philox-4x64-10 generator keyed by
 a 64-bit seed, so runs are bit-reproducible and exploration chunks can be
@@ -25,6 +28,7 @@ evaluated in any partition without changing the sampled points.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,8 +48,9 @@ _NAMES = {
 
 SAMPLE_CHUNK = 8192  # full chunks are always drawn, so sample i never depends on the budget
 CONVERGENCE_WINDOW_TOL = 1e-2  # units of h, over the trailing budget/5 evaluations
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_REFINE_CYCLES = 16
+# refinement lattice around each leader, in units of the zoom width
+_LATTICE = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3)))
+_ZOOM_STOP = 1e-9  # refinement ends once the zoom width falls below this fraction of the box
 
 
 @dataclass(frozen=True)
@@ -211,12 +216,17 @@ def optimize(
 
     Every evaluation already takes the best auxiliary measurement (the top
     eigenvalue of A), so only (polar, azimuth, t) is searched. Exploration
-    scans samples drawn uniformly from the box; refinement then runs golden-
-    section line searches coordinate by coordinate around each leaderboard
-    candidate, shrinking the bracket every cycle, until its budget share is
-    spent or the polish stops paying. ``converged`` reports whether the
-    trailing ceil(budget/5) exploration samples still moved the running
-    best by 1e-2 * h or more (refinement probes are not samples).
+    scans samples drawn uniformly from the box; refinement then zooms in on
+    the leaderboard candidates in lockstep, one batched 125-point lattice per
+    leader and step, halving the lattice width every step until it falls
+    below 1e-9 of the box or the next step would overrun the budget.
+    Refinement draws no random numbers.
+
+    ``trace`` lists (evaluations spent, best value) each time the best value
+    rises: during exploration the index is that of the improving sample,
+    during refinement the end of the improving step. ``converged`` reports
+    whether the trailing ceil(budget/5) exploration samples still moved the
+    running best by 1e-2 * h or more (refinement steps are not judged).
     """
     if budget < 1:
         raise ConfigError(f"budget must be at least 1, got {budget}")
@@ -247,66 +257,33 @@ def optimize(
         remaining -= m
 
     explore_best = best
-    refine_cap = budget - n_explore
-    refine_used = 0
-    if best_x is not None and refine_cap > 2:
+    # every leader zooms: the best exploration point need not sit in the
+    # basin of the best optimum
+    xs = np.array([x for _, x in leaders])
+    fs = np.array([f for f, _ in leaders])
+    step_points = len(leaders) * len(_LATTICE)
+    width = 0.125  # zoom width, as a fraction of each coordinate's span
+    while width >= _ZOOM_STOP and used + step_points <= budget:
+        pts = np.clip(xs[:, None, :] + _LATTICE * (width * (hi - lo)), lo, hi)
+        vals = evaluator(pts.reshape(-1, space.n_params)).reshape(len(xs), -1)
+        used += step_points
+        top = np.argmax(vals, axis=1)
+        top_vals = vals[np.arange(len(xs)), top]
+        moved = top_vals > fs
+        xs[moved], fs[moved] = pts[moved, top[moved]], top_vals[moved]
+        lead = int(np.argmax(fs))
+        if fs[lead] > best:
+            best, best_x = float(fs[lead]), xs[lead].copy()
+            trace.append((used, best))
+        width /= 2.0
 
-        def line_fn(coord, base):
-            def fn(v):
-                nonlocal refine_used, best, best_x
-                y = base.copy()
-                y[coord] = v
-                val = float(evaluator(y)[0])
-                refine_used += 1
-                if val > best:
-                    best = val
-                    best_x = y.copy()
-                    trace.append((used + refine_used, best))
-                return val
-
-            return fn
-
-        # polish several well-separated incumbents; single-start coordinate
-        # descent can stall on a ridge between coupled coordinates
-        starts = leaders or [(best, best_x)]
-        per_start = max(refine_cap // len(starts), 2)
-        for local_best, start in starts:
-            start_cap = min(per_start, refine_cap - refine_used)
-            if start_cap < 2:
-                break
-            start_used = 0
-            x = start.copy()
-            width = 0.125 * (hi - lo)
-            for _ in range(_MAX_REFINE_CYCLES):
-                cycle_start = local_best
-                for c in range(space.n_params):
-                    cap = start_cap - start_used
-                    if cap < 2:
-                        break
-                    a = max(lo[c], x[c] - width[c])
-                    b = min(hi[c], x[c] + width[c])
-                    if b - a <= 0.0:
-                        continue
-                    line = _golden_max(line_fn(c, x), a, b, 1e-6 * (hi[c] - lo[c]), cap)
-                    if line is None:
-                        continue
-                    x_line, f_line, n_line = line
-                    start_used += n_line
-                    if f_line > local_best:
-                        local_best = f_line
-                        x[c] = x_line
-                width *= 0.6
-                if local_best - cycle_start < 1e-12 or start_cap - start_used < 2:
-                    break
-
-    samples_used = used + refine_used
     # convergence is judged on the random-sampling phase: did the trailing
     # ceil(budget/5) random samples still move the running best by >= 1e-2 h?
     window = math.ceil(budget / 5)
     baseline = _running_best_at(trace, max(n_explore - window, 1))
     converged = (explore_best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
     return OptimizationReport(
-        best, best_x, evaluator.best_basis(best_x), samples_used, converged, trace, seed
+        best, best_x, evaluator.best_basis(best_x), used, converged, trace, seed
     )
 
 
@@ -343,29 +320,3 @@ def _running_best_at(trace, index):
             break
         value = v
     return value
-
-
-def _golden_max(fn, lo, hi, tol, max_evals):
-    """Golden-section maximum of fn on [lo, hi]; returns (x, f(x), evals)."""
-    if max_evals < 2 or hi - lo <= tol:
-        return None
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    evals = 2
-    x_best, f_best = (x1, f1) if f1 >= f2 else (x2, f2)
-    while hi - lo > tol and evals < max_evals:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-            if f2 > f_best:
-                x_best, f_best = x2, f2
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-            if f1 > f_best:
-                x_best, f_best = x1, f1
-        evals += 1
-    return x_best, f_best, evals

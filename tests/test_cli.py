@@ -223,3 +223,30 @@ class TestSweepValues:
         for k, value, converged, samples, _ in values:
             assert converged and samples == 0
             assert abs(value - (2.0 * k if k >= 0 else 0.0)) < 1e-10
+
+
+class TestUnitContract:
+    """Energies print in units of h and times read in units of 1/h, so runs
+    that share g = J/h print the same numbers."""
+
+    def test_unitary_row_is_in_units_of_h(self):
+        values = sweep_values("unitary", RunConfig(h=2.0, J=4.0, k_points=3))
+        assert values[-1][:2] == (1.0, 2.0)
+
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_stochastic_rows_depend_only_on_g(self, family):
+        small = {"k_points": 5, "budget": 2000, "seed": 7, "threads": 1}
+        unit = sweep_values(family, RunConfig(h=1.0, J=2.0, **small))
+        scaled = sweep_values(family, RunConfig(h=2.0, J=4.0, **small))
+        for a, b in zip(unit, scaled):
+            assert b[1] == pytest.approx(a[1], abs=1e-9)
+
+    def test_mps_values_depend_only_on_g(self, tmp_path):
+        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
+        assert main(["mps", "--grid-n", "5", "--out", str(unit)]) == 0
+        assert main(["mps", "--grid-n", "5", "--h", "2", "--J", "4", "--out", str(scaled)]) == 0
+        _, unit_rows = read_csv(unit)
+        _, scaled_rows = read_csv(scaled)
+        for a, b in zip(unit_rows, scaled_rows):
+            assert float(b[2]) == pytest.approx(float(a[2]), abs=1e-9)
+            assert b[3] == a[3]
