@@ -47,7 +47,7 @@ def as_operator(m) -> np.ndarray:
 
 def is_hermitian(m, atol: float = HERMITICITY_ATOL) -> bool:
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= atol)
 
 
 def kron(a, b) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 Each suite exercises one invariant group (operator algebra, passive-state
 construction, measurement bookkeeping, closed forms against the brute-force
-protocol, the zero-coupling null, the passivity scan) and reports its worst
-residual against a pinned tolerance.
+protocol, the zero-coupling null, the passivity scan, the known optimum
+h(1+k) of a searched protocol) and reports its worst residual against a
+pinned tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,9 @@ from .protocol import (
 )
 
 CLOSED_FORM_TOL = 1e-9
+# known-optimum band of a searched w_p, in units of h
+OPTIMUM_FLOOR_TOL = 1e-12
+OPTIMUM_CEILING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,19 +89,37 @@ def suite_operator_algebra(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 
 def suite_passive_ergotropy(spec: HamiltonianSpec, rng) -> SuiteResult:
-    worst = 0.0
+    """The closed forms against a spectral oracle: populations of rho from one
+    stacked eigh, sorted descending, placed on the ascending levels of h_b."""
     h_b = hamiltonian_battery(spec)
-    for _ in range(2000):
-        rho = _random_qubit_state(rng)
-        worst = max(worst, -min(0.0, ergotropy(rho, spec)))
-        sigma = passive_state(rho, h_b)
-        worst = max(worst, ergotropy(sigma, spec))
-        worst = max(worst, _fro(passive_state(sigma, h_b) - sigma))
-        worst = max(worst, _fro(sigma @ h_b - h_b @ sigma))
-    for k in np.linspace(-1.0, 1.0, 81):
-        law = 2.0 * spec.h * k if k >= 0 else 0.0
-        worst = max(worst, abs(ergotropy(battery_state(k), spec) - law))
-    return _result("passive-ergotropy", worst, 1e-10)
+    # radius ~ u^(1/3) and polar angle arccos(1 - 2u) make the draws uniform over the Bloch ball
+    u = rng.random((3, 2000))
+    radius, cos_polar, azimuth = u[0] ** (1.0 / 3.0), 1.0 - 2.0 * u[1], 2.0 * math.pi * u[2]
+    sin_polar = np.sqrt(1.0 - cos_polar**2)
+    bloch = radius[:, None] * np.stack(
+        [sin_polar * np.cos(azimuth), sin_polar * np.sin(azimuth), cos_polar], axis=-1
+    )
+    ks = np.linspace(-1.0, 1.0, 81)
+    diagonal = np.array([battery_state(k) for k in ks])
+    paulis = np.array([qmath.SIGMA_X, qmath.SIGMA_Y, qmath.SIGMA_Z])
+    rhos = np.concatenate([0.5 * (qmath.I2 + np.tensordot(bloch, paulis, 1)), diagonal])
+
+    pops = np.linalg.eigvalsh(rhos)[:, ::-1]
+    levels = np.linalg.eigh(h_b)[1]
+    oracle = (levels * pops[:, None, :]) @ levels.conj().T
+    work = ergotropy(rhos, spec)
+    sigma = passive_state(rhos, h_b)
+    worst = max(
+        float(np.max(np.abs(work - (_energies(rhos, h_b) - _energies(oracle, h_b))))),
+        _fro_max(sigma - oracle),
+        -min(0.0, float(np.min(work))),
+        float(np.max(np.abs(ergotropy(sigma, spec)))),
+        _fro_max(passive_state(sigma, h_b) - sigma),
+        _fro_max(sigma @ h_b - h_b @ sigma),
+    )
+    law = 2.0 * spec.h * np.maximum(ks, 0.0)
+    worst = max(worst, float(np.max(np.abs(work[-ks.size :] - law))))
+    return _result("passive-ergotropy", worst, 1e-10, "closed forms vs stacked eigh")
 
 
 def suite_measurement_protocol(spec: HamiltonianSpec, rng) -> SuiteResult:
@@ -245,6 +268,25 @@ def suite_mps_uniqueness(spec: HamiltonianSpec) -> SuiteResult:
     )
 
 
+def suite_optimum_bound(spec: HamiltonianSpec, seed: int) -> SuiteResult:
+    """A short search of either family must land in [0, h(1+k)]: t = 0
+    scores 0, and every protocol obeys w_p <= P (E0 + h) <= h(1+k)."""
+    h = spec.h
+    worst = 0.0
+    cases = itertools.product(("separable", "entangled"), (-0.5, 0.5))
+    for i, (family, k) in enumerate(cases):
+        space = SearchSpace(family, k, t_max=10.0 / h)
+        value = optimize(space, spec, budget=2000, seed=derive_seed(seed, i)).best_value
+        ceiling = h * (1.0 + k) + OPTIMUM_CEILING_TOL * h
+        worst = max(worst, -OPTIMUM_FLOOR_TOL * h - value, value - ceiling)
+    return _result(
+        "optimum-bound",
+        worst / h,
+        0.0,
+        "excess beyond [-1e-12 h, h(1+k) + 1e-9 h], in units of h",
+    )
+
+
 def run_suites(
     spec: HamiltonianSpec, seed: int, closed_form_tol: float = CLOSED_FORM_TOL
 ) -> list[SuiteResult]:
@@ -261,8 +303,17 @@ def run_suites(
         suite_zero_coupling_pointwise(spec, streams[5]),
         suite_zero_coupling_optimized(spec, derive_seed(seed, 6)),
         suite_mps_uniqueness(spec),
+        suite_optimum_bound(spec, derive_seed(seed, 7)),
     ]
 
 
 def _fro(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
+
+
+def _fro_max(stack) -> float:
+    return float(np.max(np.linalg.norm(stack, axis=(-2, -1))))
+
+
+def _energies(stack, h_op) -> np.ndarray:
+    return np.einsum("nij,ji->n", stack, h_op).real

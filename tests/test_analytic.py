@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,3 +159,41 @@ class TestMpsScan:
             mps_scan(11, SPEC, t_probe=5.0)
         with pytest.raises(ConfigError):
             mps_scan(11, SPEC, t_probe=0.0)
+
+
+class TestBatchedScanMatchesOracle:
+    """The batched scan against one scalar run_protocol call per grid point."""
+
+    @staticmethod
+    def scalar_scan(report, spec):
+        drain = wp_excited_oracle(spec, excited_quarter_period(spec))
+        wp = np.zeros_like(report.max_wp)
+        for i, s in enumerate(report.s_grid):
+            for j, theta in enumerate(report.theta_grid):
+                wp[i, j] = oracle_wp(s, theta, spec, report.t_probe)
+                if s * math.cos(theta) >= 1.0 - 1e-12:
+                    wp[i, j] = max(wp[i, j], drain)
+        return wp
+
+    @pytest.mark.parametrize(
+        "h, j, t_probe",
+        [(1.0, 2.0, None), (2.0, 4.0, None), (1.0, 4.0, None), (1.0, 0.0, None), (1.0, 2.0, 0.037)],
+    )
+    def test_every_point_matches_run_protocol(self, h, j, t_probe):
+        spec = HamiltonianSpec(h, j)
+        report = mps_scan(11, spec, t_probe)
+        expected = self.scalar_scan(report, spec)
+        assert np.max(np.abs(report.max_wp - expected)) <= 1e-12 * h
+        # the probe signal is at most about 3e-4 h, so also compare relatively
+        np.testing.assert_allclose(report.max_wp, expected, rtol=1e-9, atol=1e-15 * h)
+        assert np.array_equal(report.passive, expected <= report.threshold)
+
+    def test_peak_memory_stays_on_the_grid_scale(self):
+        # one (301^2, 4, 4) complex stack alone would take 23 MB
+        tracemalloc.start()
+        try:
+            mps_scan(301, SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

@@ -14,8 +14,8 @@ from qbattery.battery import (
     hamiltonian_joint,
     passive_state,
 )
-from qbattery.errors import DomainError
-from qbattery.qmath import I2, SIGMA_X
+from qbattery.errors import DimensionError, DomainError, HermiticityError
+from qbattery.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 SPEC = HamiltonianSpec()
 
@@ -170,3 +170,74 @@ class TestErgotropy:
         rho = bloch_state(BlochVector(r, theta, 0.0))
         expected = SPEC.h * r * (np.cos(theta) + 1.0)
         assert ergotropy(rho, SPEC) == pytest.approx(expected, abs=1e-10)
+
+
+def spectral_passive(rhos, h_op):
+    """Generic oracle: populations sorted descending on the ascending levels of h_op."""
+    pops = np.linalg.eigvalsh(rhos)[:, ::-1]
+    levels = np.linalg.eigh(h_op)[1]
+    return (levels * pops[:, None, :]) @ levels.conj().T
+
+
+def stacked_energy(rhos, spec):
+    return np.einsum("nij,ji->n", rhos, hamiltonian_battery(spec)).real
+
+
+class TestClosedFormsAgainstSpectralOracle:
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(11)
+        bloch = rng.normal(size=(500, 3))
+        bloch *= (rng.random(500) ** (1.0 / 3.0) / np.linalg.norm(bloch, axis=1))[:, None]
+        random = 0.5 * (I2 + np.tensordot(bloch, np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), 1))
+        special = [I2 / 2.0, battery_state(1.0), battery_state(-1.0)]
+        return np.concatenate([random, special])
+
+    @pytest.mark.parametrize("spec", [SPEC, HamiltonianSpec(h=2.0, J=0.5)])
+    def test_passive_state_and_ergotropy(self, spec):
+        rhos = self.states()
+        oracle = spectral_passive(rhos, hamiltonian_battery(spec))
+        sigma = passive_state(rhos, hamiltonian_battery(spec))
+        assert np.max(np.linalg.norm(sigma - oracle, axis=(1, 2))) < 1e-14
+        work = ergotropy(rhos, spec)
+        drop = stacked_energy(rhos, spec) - stacked_energy(oracle, spec)
+        assert np.max(np.abs(work - drop)) < 1e-14 * spec.h
+        assert np.min(work) >= 0.0
+
+    def test_stack_matches_one_state_at_a_time(self):
+        rhos = self.states()[:50]
+        h_b = hamiltonian_battery(SPEC)
+        assert np.array_equal(ergotropy(rhos, SPEC), [ergotropy(r, SPEC) for r in rhos])
+        assert np.array_equal(passive_state(rhos, h_b), [passive_state(r, h_b) for r in rhos])
+
+    def test_maximally_mixed_state(self):
+        assert ergotropy(I2 / 2.0, SPEC) == 0.0
+        assert np.array_equal(passive_state(I2 / 2.0, hamiltonian_battery(SPEC)), I2 / 2.0)
+
+    @pytest.mark.parametrize("k, expected", [(1.0, 2.0), (-1.0, 0.0)])
+    def test_pure_states_at_the_poles(self, k, expected):
+        assert ergotropy(battery_state(k), SPEC) == expected
+        assert np.array_equal(
+            passive_state(battery_state(k), hamiltonian_battery(SPEC)), battery_state(-1.0)
+        )
+
+    @pytest.mark.parametrize("h", [1.0, 2.0])
+    def test_diagonal_law_is_exact_on_the_cli_grid(self, h):
+        spec = HamiltonianSpec(h=h)
+        for k in np.linspace(-1.0, 1.0, 81):
+            assert ergotropy(battery_state(k), spec) == 2.0 * h * max(k, 0.0)
+
+    def test_passive_direction_follows_the_hamiltonian(self):
+        # under h*sigma_x the passive state points along -x
+        sigma = passive_state(battery_state(0.5), SIGMA_X)
+        assert np.allclose(sigma, 0.5 * (I2 - 0.5 * SIGMA_X), atol=1e-15)
+
+    def test_trivial_hamiltonian_leaves_the_state(self):
+        rho = bloch_state(BlochVector(0.4, 1.0, 2.0))
+        assert np.array_equal(passive_state(rho, 3.0 * I2), rho)
+
+    def test_rejects_non_qubit_and_non_hermitian_input(self):
+        with pytest.raises(DimensionError):
+            ergotropy(np.eye(4) / 4.0, SPEC)
+        with pytest.raises(HermiticityError):
+            passive_state(np.array([[0.5, 0.1], [0.0, 0.5]]), hamiltonian_battery(SPEC))

@@ -6,6 +6,7 @@ import pytest
 from qbattery.battery import HamiltonianSpec
 from qbattery.cli import RunConfig, build_parser, cmd_verify, main, resolve_config, sweep_values
 from qbattery.errors import ConfigError
+from qbattery import verify
 from qbattery.verify import run_suites
 
 
@@ -179,6 +180,44 @@ class TestVerify:
     def test_every_suite_passes_away_from_unit_field(self, h, j):
         failed = [r.name for r in run_suites(HamiltonianSpec(h, j), 123456789) if not r.passed]
         assert failed == []
+
+    def test_optimum_bound_is_appended_after_the_other_suites(self):
+        names = [r.name for r in run_suites(HamiltonianSpec(1.0, 4.0), 5)]
+        assert names == [
+            "operator-algebra",
+            "passive-ergotropy",
+            "measurement-protocol",
+            "closed-form-vs-oracle",
+            "small-t-quartic",
+            "excited-drain",
+            "entanglement-entropy",
+            "zero-coupling-pointwise",
+            "zero-coupling-optimized",
+            "mps-scan",
+            "optimum-bound",
+        ]
+
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0)])
+    @pytest.mark.parametrize(
+        "share, offset, passed",
+        [(1.0, 0.0, True), (1.0, 2e-9, False), (0.0, 0.0, True), (0.0, -2e-12, False)],
+    )
+    def test_optimum_bound_gate(self, monkeypatch, h, j, share, offset, passed):
+        # searches returning share * h(1+k) + offset * h: the band is [-1e-12 h, h(1+k) + 1e-9 h]
+        def search(space, spec, budget, seed):
+            class Report:
+                best_value = share * spec.h * (1.0 + space.k) + offset * spec.h
+
+            return Report()
+
+        monkeypatch.setattr(verify, "optimize", search)
+        assert verify.suite_optimum_bound(HamiltonianSpec(h, j), 1).passed is passed
+
+    def test_passive_suite_catches_an_ergotropy_offset(self, monkeypatch):
+        # the suite compares the closed forms with an independent spectral oracle
+        closed_form = verify.ergotropy
+        monkeypatch.setattr(verify, "ergotropy", lambda rho, spec: closed_form(rho, spec) + 1e-9)
+        assert not verify.suite_passive_ergotropy(HamiltonianSpec(), np.random.default_rng(0)).passed
 
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0
