@@ -41,30 +41,29 @@ def wp_closed_form(s: float, theta: float, spec: HamiltonianSpec, t: float) -> f
     """Exact w_p of the reference protocol, in units of h.
 
     (1 / (4 (4h^2+J^2))) * [-4h^2 + (4h^2+J^2) cos(2Jt)
-        - J^2 cos(2 sqrt(4h^2+J^2) t)] * (-1 + s^2 cos^2 theta)
+        - J^2 cos(2 sqrt(4h^2+J^2) t)] * (-1 + s^2 cos^2 theta),
+
+    evaluated with W = sqrt(4h^2+J^2) formed as hypot(2h, J) and the bracket
+    divided through by W^2, so that no squared energy over- or underflows.
     """
     h, j = spec.h, spec.J
-    omega_sq = 4.0 * h * h + j * j
+    omega = math.hypot(2.0 * h, j)
     bracket = (
-        -4.0 * h * h
-        + omega_sq * math.cos(2.0 * j * t)
-        - j * j * math.cos(2.0 * math.sqrt(omega_sq) * t)
+        -((2.0 * h / omega) ** 2)
+        + math.cos(2.0 * j * t)
+        - (j / omega) ** 2 * math.cos(2.0 * omega * t)
     )
-    return bracket * (-1.0 + s * s * math.cos(theta) ** 2) / (4.0 * omega_sq)
+    return bracket * (-1.0 + s * s * math.cos(theta) ** 2) / 4.0
 
 
 def wp_small_t(s: float, theta: float, spec: HamiltonianSpec) -> float:
     """Coefficient of t^4 in the small-t expansion of wp_closed_form.
 
-    -8 (4 h^4 J^2 + h^2 J^4) (-1 + s^2 cos^2 theta) / (12 (4h^2 + J^2))
+    -8 (4 h^4 J^2 + h^2 J^4) (-1 + s^2 cos^2 theta) / (12 (4h^2 + J^2)),
+    which is -(2/3) h^2 J^2 (-1 + s^2 cos^2 theta): the factor 4h^2 + J^2
+    cancels.
     """
-    h, j = spec.h, spec.J
-    return (
-        -8.0
-        * (4.0 * h**4 * j**2 + h**2 * j**4)
-        * (-1.0 + s * s * math.cos(theta) ** 2)
-        / (12.0 * (4.0 * h * h + j * j))
-    )
+    return -2.0 / 3.0 * (spec.h * spec.J) ** 2 * (-1.0 + s * s * math.cos(theta) ** 2)
 
 
 def wp_excited_oracle(spec: HamiltonianSpec, t: float) -> float:
@@ -81,9 +80,8 @@ def wp_excited_oracle(spec: HamiltonianSpec, t: float) -> float:
 
 def wp_excited_closed_form(spec: HamiltonianSpec, t: float) -> float:
     """2hJ^2 sin^2(sqrt(4h^2+J^2) t) / (4h^2+J^2), matching the oracle."""
-    h, j = spec.h, spec.J
-    omega_sq = 4.0 * h * h + j * j
-    return 2.0 * h * j * j * math.sin(math.sqrt(omega_sq) * t) ** 2 / omega_sq
+    omega = math.hypot(2.0 * spec.h, spec.J)
+    return 2.0 * spec.h * (spec.J / omega) ** 2 * math.sin(omega * t) ** 2
 
 
 def wp_excited_sine_variant(spec: HamiltonianSpec, t: float) -> float:
@@ -94,14 +92,13 @@ def wp_excited_sine_variant(spec: HamiltonianSpec, t: float) -> float:
     dimensionally inconsistent and does not match the simulation. The
     sin^2(sqrt(4h^2+J^2) t) form does.
     """
-    h, j = spec.h, spec.J
-    omega_sq = 4.0 * h * h + j * j
-    return 2.0 * h * j * j * math.sin(omega_sq * t) / omega_sq
+    omega = math.hypot(2.0 * spec.h, spec.J)
+    return 2.0 * spec.h * (spec.J / omega) ** 2 * math.sin(omega * omega * t)
 
 
 def excited_quarter_period(spec: HamiltonianSpec) -> float:
     """Time of the first extraction maximum for the excited-battery drain."""
-    return math.pi / (2.0 * math.sqrt(4.0 * spec.h**2 + spec.J**2))
+    return math.pi / (2.0 * math.hypot(2.0 * spec.h, spec.J))
 
 
 def entanglement_entropy(k: float) -> float:
@@ -162,7 +159,7 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
         raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
     if t_probe is None:
         t_probe = DEFAULT_T_PROBE / spec.h
-    omega = math.sqrt(4.0 * spec.h**2 + spec.J**2)
+    omega = math.hypot(2.0 * spec.h, spec.J)
     if not 0.0 < t_probe < 1.0 / max(spec.h, abs(spec.J), omega):
         raise ConfigError(f"t_probe {t_probe} outside the small-time probe window")
     threshold = EXTRACTABLE_THRESHOLD * spec.h

@@ -36,7 +36,7 @@ import numpy as np
 
 from .battery import HamiltonianSpec
 from .errors import ConfigError, DomainError
-from .protocol import MeasurementBasis, joint_eig
+from .protocol import MeasurementBasis, parity_blocks
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -51,6 +51,7 @@ CONVERGENCE_WINDOW_TOL = 1e-2  # units of h, over the trailing budget/5 evaluati
 # refinement lattice around each leader, in units of the zoom width
 _LATTICE = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3)))
 _ZOOM_STOP = 1e-9  # refinement ends once the zoom width falls below this fraction of the box
+_BLOCK = 2048  # WpEvaluator points per kernel pass: small temporaries that stay in cache
 
 
 @dataclass(frozen=True)
@@ -141,29 +142,42 @@ class WpEvaluator:
 
     The initial state is held as kets: a mixture of two for the separable
     family (sqrt(p_i) |i, aux> for battery level i, since the auxiliary is
-    pure) and one for the entangled family. Each is evolved once, A is
-    built from them, and the value is lambda_max(A). Uses the identity
-    w_p = (E0 - h) M00 + (E0 + h) M11, where M is the unnormalized
-    post-measurement battery operator and E0 = h*k is the initial battery
-    energy, so no branch ever divides by its probability. Equals
-    protocol.best_outcome at the basis ``best_basis`` returns, and is at
-    least its value at any other basis.
+    pure) and one for the entangled family. Each ket evolves elementwise
+    under the parity-block rotations of protocol.parity_blocks (no matrix
+    product, no eigendecomposition), A is read off the evolved amplitudes,
+    and the value is lambda_max(A). Uses w_p = (E0 - h) M00 + (E0 + h) M11,
+    with M the unnormalized post-measurement battery operator and E0 = h*k,
+    so no branch divides by its probability. Equals protocol.best_outcome at
+    the basis ``best_basis`` returns, and is at least its value at any other.
+    A point whose phases leave the floating-point range reads -inf.
+
+    The separable value does not depend on phi_aux. U conserves Z x Z parity,
+    so U|j, a> lives on (j, a) and (1-j, 1-a): each evolved amplitude carries
+    one phase, 1 or e^{i phi}, which A00 and A11 do not see. The e^{-i phi}
+    part of A01 pairs U|j,0> and U|j,1> on level j; it is cos sin U[00,00]
+    conj(U[01,01]) sum_j c_j p_j (the same product for j = 1), and
+    sum_j c_j p_j = E0 - Tr(rho_b h sigma_z) = 0. Only the best basis turns with phi.
     """
 
     def __init__(self, space: SearchSpace, spec: HamiltonianSpec):
         self.space = space
         self.spec = spec
-        values, vectors = joint_eig(spec)
-        self._freqs = values
-        self._v = vectors.real  # H is real symmetric: eigh returns a real eigenbasis
         # battery marginal is diag(p0, p1) in both families
         self._sqrt_p = np.sqrt([(1.0 + space.k) / 2.0, (1.0 - space.k) / 2.0])
         e0 = spec.h * space.k
         self._c = np.array([e0 - spec.h, e0 + spec.h])
 
     def __call__(self, params) -> np.ndarray:
-        a00, a11, a01 = self._outcome_matrix(params)
-        return (a00 + a11) / 2.0 + np.hypot((a00 - a11) / 2.0, np.abs(a01))
+        p = np.atleast_2d(np.asarray(params, dtype=float))
+        blocks = range(0, len(p) or 1, _BLOCK)  # an empty batch is one empty block
+        return np.concatenate([self._values(p[i : i + _BLOCK]) for i in blocks])
+
+    def _values(self, p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a00, a11, a01 = self._outcome_matrix(p)
+            w = (a00 + a11) / 2.0 + np.hypot((a00 - a11) / 2.0, np.abs(a01))
+        w[~np.isfinite(w)] = -math.inf  # phases past the float range: ranked below every value
+        return w
 
     def best_basis(self, params) -> MeasurementBasis:
         """Basis whose outcome 0 is the top eigenvector of A at one parameter
@@ -179,34 +193,30 @@ class WpEvaluator:
         p = np.atleast_2d(np.asarray(params, dtype=float))
         if p.shape[1] != self.space.n_params:
             raise ConfigError(f"expected {self.space.n_params} parameters, got {p.shape[1]}")
-        theta, phi, t = p.T
-        n = p.shape[0]
+        theta, phi, t = np.ascontiguousarray(p.T)  # contiguous columns: faster ufuncs
         cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
         s0, s1 = self._sqrt_p
+        d, o, c, s = parity_blocks(self.spec, t)
         if self.space.family == SEPARABLE:
-            # aux = (cos, e^{i phi} sin) has Bloch angles (theta, phi), as in bloch_state
-            aux_1 = np.exp(1j * phi) * sin
-            kets = np.zeros((2, n, 4), dtype=complex)
-            kets[0, :, 0], kets[0, :, 1] = s0 * cos, s0 * aux_1
-            kets[1, :, 2], kets[1, :, 3] = s1 * cos, s1 * aux_1
-        else:
-            # sqrt(p0)|0,chi> + sqrt(p1)|1,chi_perp>, as in protocol.entangled_ket
-            w = np.exp(-1j * phi)
-            kets = np.stack([s0 * cos, s0 * w * sin, s1 * sin, -s1 * w * cos], axis=-1)[None]
-        m = kets.shape[0]
-        # U(t) = V diag(e^{-iEt}) V^T with V real; real and imaginary parts go
-        # through real matrix products, which cost far less than complex ones
-        re, im = kets.real @ self._v, kets.imag @ self._v
-        et = np.multiply.outer(t, self._freqs)
-        cos_et, sin_et = np.cos(et), np.sin(et)
-        re, im = re * cos_et + im * sin_et, im * cos_et - re * sin_et
-        amp = (re @ self._v.T + 1j * (im @ self._v.T)).reshape(m, n, 2, 2)
-        col0, col1 = amp[..., 0], amp[..., 1]  # auxiliary a = 0, 1; last axis battery level i
-        c = self._c  # weight c_i of battery level i
-        a00 = ((col0.real**2 + col0.imag**2) * c).sum(axis=(0, 2))
-        a11 = ((col1.real**2 + col1.imag**2) * c).sum(axis=(0, 2))
-        a01 = (col0 * col1.conj() * c).sum(axis=(0, 2))
-        return a00, a11, a01
+            # U sqrt(p_i)|i, aux> for aux = (cos, e^{i phi} sin), as in bloch_state;
+            # the two kets add incoherently and are read off one at a time
+            u0, v0, aux_1 = s0 * cos, s1 * cos, np.exp(1j * phi) * sin
+            u1, v1 = s0 * aux_1, s1 * aux_1
+            first = self._read_off(u0 * d, u1 * c, u1 * s, u0 * o)
+            second = self._read_off(v1 * o, v0 * s, v0 * c, v1 * d.conj())
+            return tuple(x + y for x, y in zip(first, second))
+        # sqrt(p0)|0,chi> + sqrt(p1)|1,chi_perp>, as in protocol.entangled_ket
+        w = np.exp(-1j * phi)
+        k0, k1, k2, k3 = s0 * cos, s0 * w * sin, s1 * sin, -s1 * w * cos
+        ket = (d * k0 + o * k3, c * k1 + s * k2, s * k1 + c * k2, o * k0 + d.conj() * k3)
+        return self._read_off(*ket)
+
+    def _read_off(self, k0, k1, k2, k3):
+        """A00, A11, A01 of one ket on |00>, |01>, |10>, |11> (levels i, a)."""
+        c0, c1 = self._c
+        a00 = c0 * (k0.real**2 + k0.imag**2) + c1 * (k2.real**2 + k2.imag**2)
+        a11 = c0 * (k1.real**2 + k1.imag**2) + c1 * (k3.real**2 + k3.imag**2)
+        return a00, a11, c0 * k0 * k1.conj() + c1 * k2 * k3.conj()
 
 
 def optimize(
@@ -227,6 +237,7 @@ def optimize(
     during refinement the end of the improving step. ``converged`` reports
     whether the trailing ceil(budget/5) exploration samples still moved the
     running best by 1e-2 * h or more (refinement steps are not judged).
+    Raises DomainError when no exploration value is finite.
     """
     if budget < 1:
         raise ConfigError(f"budget must be at least 1, got {budget}")
@@ -256,6 +267,9 @@ def optimize(
         used += m
         remaining -= m
 
+    if best == -math.inf:
+        raise DomainError(f"w_p is not finite at any of {n_explore} samples for h={spec.h}, "
+                          f"J={spec.J}, t_max={space.t_max}: phases beyond the float range")
     explore_best = best
     # every leader zooms: the best exploration point need not sit in the
     # basin of the best optimum
@@ -298,11 +312,8 @@ def _update_leaderboard(leaders, pts, vals, span):
         if len(leaders) == _LEADERBOARD_SIZE and value <= leaders[-1][0]:
             break
         point = pts[j]
-        near = None
-        for i, (_, kept) in enumerate(leaders):
-            if np.max(np.abs(point - kept) / span) < _LEADERBOARD_SEPARATION:
-                near = i
-                break
+        near = next((i for i, (_, kept) in enumerate(leaders)
+                     if np.max(np.abs(point - kept) / span) < _LEADERBOARD_SEPARATION), None)
         if near is None:
             leaders.append((value, point.copy()))
         elif value > leaders[near][0]:
@@ -313,10 +324,5 @@ def _update_leaderboard(leaders, pts, vals, span):
         del leaders[_LEADERBOARD_SIZE:]
 
 
-def _running_best_at(trace, index):
-    value = -math.inf
-    for i, v in trace:
-        if i > index:
-            break
-        value = v
-    return value
+def _running_best_at(trace, index):  # trace values rise, so the last one in reach is best
+    return max((v for i, v in trace if i <= index), default=-math.inf)

@@ -1,9 +1,10 @@
 """Measurement-assisted stochastic energy extraction for a qubit battery.
 
 Pipeline: prepare a joint battery-auxiliary state (product or entangled
-pure), evolve it under the coupled Hamiltonian for a time t, perform a
-rank-1 projective measurement on the auxiliary in a parameterized basis,
-post-select one outcome, and score the branch by
+pure), evolve it under the coupled Hamiltonian for a time t (exp(-iHt) in
+closed form on its two parity blocks), perform a rank-1 projective
+measurement on the auxiliary in a parameterized basis, post-select one
+outcome, and score the branch by
 
     w_p = probability * (E_initial - E_post),
 
@@ -20,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .battery import (
-    BlochVector,
-    HamiltonianSpec,
-    battery_state,
-    bloch_state,
-    energy,
-    hamiltonian_joint,
-)
+from .battery import BlochVector, HamiltonianSpec, battery_state, bloch_state, energy
 from .errors import DomainError
 
 # Below this outcome probability the post-selected state is numerically
@@ -152,24 +146,24 @@ def best_outcome(rho0, spec: HamiltonianSpec, t: float, basis: MeasurementBasis)
     return second if second.w_p > first.w_p else first
 
 
-_JOINT_EIG_CACHE: dict[tuple[float, float], qmath.EigenDecomposition] = {}
+def parity_blocks(spec: HamiltonianSpec, t):
+    """exp(-iHt) on the two Z x Z parity blocks, for a time or an array of times.
 
-
-def joint_eig(spec: HamiltonianSpec) -> qmath.EigenDecomposition:
-    """Spectral decomposition of the joint Hamiltonian, memoized on (h, J)."""
-    key = (spec.h, spec.J)
-    found = _JOINT_EIG_CACHE.get(key)
-    if found is None:
-        found = qmath.hermitian_eig(hamiltonian_joint(spec))
-        found.values.setflags(write=False)
-        found.vectors.setflags(write=False)
-        _JOINT_EIG_CACHE[key] = found
-    return found
+    H is [[2h, J], [J, -2h]] on {|00>, |11>}, so U = cos(W t) - i sin(W t)
+    (2h sigma_z + J sigma_x) / W = [[d, o], [o, conj(d)]] there, with W = hypot(2h, J)
+    (finite and non-zero at any scale of h and J). H is J sigma_x on {|01>, |10>},
+    so U = cos(J t) - i sin(J t) sigma_x = [[c, s], [s, c]] there. Returns (d, o, c, s).
+    """
+    omega = math.hypot(2.0 * spec.h, spec.J)
+    wt, jt = omega * t, spec.J * t
+    sin_wt = np.sin(wt)
+    d = np.cos(wt) - 1j * ((2.0 * spec.h / omega) * sin_wt)
+    return d, -1j * ((spec.J / omega) * sin_wt), np.cos(jt), -1j * np.sin(jt)
 
 
 def joint_unitary(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """exp(-i H t) for the joint Hamiltonian, from the cached spectrum."""
+    """exp(-i H t) for the joint Hamiltonian, assembled from its parity blocks."""
     if t < 0:
         raise DomainError("evolution time must be non-negative")
-    values, vectors = joint_eig(spec)
-    return (vectors * np.exp(-1j * values * t)) @ vectors.conj().T
+    d, o, c, s = parity_blocks(spec, t)
+    return np.array([[d, 0, 0, o], [0, c, s, 0], [0, s, c, 0], [o, 0, 0, np.conj(d)]], complex)

@@ -93,7 +93,8 @@ def _tie_broken_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def evolve(h_total, t: float) -> np.ndarray:
     """Unitary exp(-i*H*t) of a Hermitian generator, built spectrally.
 
-    Exact up to eigensolver tolerance: V diag(exp(-i*lambda*t)) V^dag.
+    Exact up to eigensolver tolerance: V diag(exp(-i*lambda*t)) V^dag. The
+    independent oracle of protocol.joint_unitary, which uses the parity blocks.
     """
     if t < 0:
         raise DomainError("evolution time must be non-negative")

@@ -197,7 +197,7 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 
 def suite_excited_drain(spec: HamiltonianSpec) -> SuiteResult:
-    omega = math.sqrt(4.0 * spec.h**2 + spec.J**2)
+    omega = math.hypot(2.0 * spec.h, spec.J)
     worst = 0.0
     variant_gap = 0.0
     for t in np.linspace(0.0, 2.0 * math.pi / omega, 50):
@@ -205,7 +205,7 @@ def suite_excited_drain(spec: HamiltonianSpec) -> SuiteResult:
         worst = max(worst, abs(oracle - analytic.wp_excited_closed_form(spec, t)))
         variant_gap = max(variant_gap, abs(oracle - analytic.wp_excited_sine_variant(spec, t)))
     peak = analytic.wp_excited_oracle(spec, analytic.excited_quarter_period(spec))
-    worst = max(worst, abs(peak - 2.0 * spec.h * spec.J**2 / omega**2))
+    worst = max(worst, abs(peak - 2.0 * spec.h * (spec.J / omega) ** 2))
     note = (
         "sin^2(sqrt(4h^2+J^2) t) form matches; sine variant with argument "
         f"(4h^2+J^2)t is dimensionally inconsistent (max gap {variant_gap:.3g})"

@@ -128,6 +128,16 @@ class TestSweep:
             value = float(row[1])
             assert np.isfinite(value) and -2.0 <= value <= 2.0
 
+    def test_non_finite_values_exit_2_naming_the_scales(self, tmp_path, capsys):
+        # every phase J t of the search is past the float range, so every w_p is NaN
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "separable", "--J", "1e308", "--k-points", "2", "--budget", "10",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: w_p is not finite") and "Traceback" not in err
+        assert "h=1.0, J=1e+308, t_max=10.0" in err
+        assert not out.exists()
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["sweep", "unitary", "--out", str(missing)]) == 2
@@ -289,3 +299,22 @@ class TestUnitContract:
         for a, b in zip(unit_rows, scaled_rows):
             assert float(b[2]) == pytest.approx(float(a[2]), abs=1e-9)
             assert b[3] == a[3]
+
+    @pytest.mark.parametrize("h, j", [("1e200", "2e200"), ("1e-200", "2e-200")])
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_stochastic_rows_hold_at_extreme_scales(self, tmp_path, family, h, j):
+        small = ["--k-points", "3", "--budget", "2000", "--threads", "1"]
+        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
+        assert main(["sweep", family, *small, "--out", str(unit)]) == 0
+        assert main(["sweep", family, *small, "--h", h, "--J", j, "--out", str(scaled)]) == 0
+        _, unit_rows = read_csv(unit)
+        _, scaled_rows = read_csv(scaled)
+        for a, b in zip(unit_rows, scaled_rows):
+            assert float(b[1]) == pytest.approx(float(a[1]), abs=1e-12)
+
+    @pytest.mark.parametrize("h, j", [("1e200", "2e200"), ("1e-200", "2e-200")])
+    def test_mps_is_byte_identical_at_extreme_scales(self, tmp_path, h, j):
+        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
+        assert main(["mps", "--grid-n", "5", "--out", str(unit)]) == 0
+        assert main(["mps", "--grid-n", "5", "--h", h, "--J", j, "--out", str(scaled)]) == 0
+        assert scaled.read_bytes() == unit.read_bytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,44 @@ class TestEvaluatorMatchesProtocol:
         assert evaluator(point)[0] == 0.0
         assert evaluator.best_basis(point) == MeasurementBasis(0.0, 0.0)
 
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.3), (1.0, 5.0), (2.0, 1.0),
+                                      (1.0, 0.0), (1.0, -2.0)])
+    def test_separable_value_ignores_the_auxiliary_azimuth(self, h, j):
+        # the e^{-i phi} part of A01 carries sum_i c_i p_i = 0 (see WpEvaluator)
+        rng = np.random.default_rng(31)
+        theta, t = np.pi * rng.random(200), 10.0 / h * rng.random(200)
+        phis = 2.0 * np.pi * rng.random(8)
+        for k in np.linspace(-1.0, 1.0, 21):
+            evaluator = WpEvaluator(SearchSpace("separable", k, t_max=10.0 / h),
+                                    HamiltonianSpec(h, j))
+            values = np.array([evaluator(np.column_stack([theta, np.full(200, phi), t]))
+                               for phi in phis])
+            assert np.max(np.ptp(values, axis=0)) <= 1e-14 * h
+
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_values_do_not_depend_on_the_batch_partition(self, family):
+        # the kernel works in blocks of points; every value is computed on its own
+        space = SearchSpace(family, 0.3)
+        evaluator = WpEvaluator(space, SPEC)
+        pts = sample_batch(space, make_rng(4), 5000)
+        parts = [evaluator(pts[:1]), evaluator(pts[1:4097]), evaluator(pts[4097:])]
+        assert np.array_equal(evaluator(pts), np.concatenate(parts))
+        assert evaluator(pts[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_batched_call_stays_small_in_memory(self, family):
+        space = SearchSpace(family, 0.3)
+        evaluator = WpEvaluator(space, SPEC)
+        pts = sample_batch(space, make_rng(3), 8192)
+        evaluator(pts)
+        tracemalloc.start()
+        try:
+            evaluator(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_rejects_wrong_arity(self):
         evaluator = WpEvaluator(SearchSpace("entangled", 0.0), SPEC)
         with pytest.raises(ConfigError):
@@ -214,6 +254,20 @@ class TestOptimize:
         times = np.linspace(0.0, 10.0, 100_001)
         peak = max(wp_closed_form(abs(CLI_GRID[i]), 0.0, SPEC, t) for t in times)
         assert cli_row("separable", i).best_value >= SPEC.h * peak - 1e-6
+
+    def test_overflowing_phases_raise_a_domain_error(self):
+        # J t is past the float range at every t the box holds: every value is NaN
+        space = SearchSpace("separable", 0.0, t_max=1e301)
+        with pytest.raises(DomainError, match=r"not finite .* h=1e-300, J=1e\+308, t_max=1e\+301"):
+            optimize(space, HamiltonianSpec(1e-300, 1e308), budget=100, seed=1)
+
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_partly_overflowing_box_still_yields_a_finite_optimum(self, family):
+        # J t overflows only for t > 1.8: NaN values there must not hide the rest
+        report = optimize(SearchSpace(family, 0.5), HamiltonianSpec(1.0, 1e308), 3000, seed=2)
+        assert np.isfinite(report.best_value)
+        assert -1e-12 <= report.best_value <= 1.5 + 1e-9
+        assert report.best_params[2] < 1.8
 
     def test_report_carries_seed(self):
         report = optimize(SearchSpace("entangled", 0.5), SPEC, budget=1500, seed=999)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbattery.battery import BlochVector, HamiltonianSpec, battery_state, energy
+from qbattery.battery import BlochVector, HamiltonianSpec, battery_state, energy, hamiltonian_joint
 from qbattery.errors import DomainError
 from qbattery.protocol import (
     Z_BASIS,
@@ -16,7 +16,7 @@ from qbattery.protocol import (
     run_protocol,
     separable_initial,
 )
-from qbattery.qmath import I2, I4, partial_trace_second
+from qbattery.qmath import I2, I4, evolve, partial_trace_second
 
 SPEC = HamiltonianSpec()
 DECOUPLED = HamiltonianSpec(h=1.0, J=0.0)
@@ -231,3 +231,30 @@ class TestBestOutcome:
             w = best_outcome(rho0, SPEC, t, basis).w_p
             for outcome in (0, 1):
                 assert w >= run_protocol(rho0, SPEC, t, basis, outcome).w_p - 1e-15
+
+
+class TestJointUnitary:
+    """The closed-form parity-block unitary against the spectral oracle
+    qmath.evolve, which builds exp(-iHt) from an eigendecomposition of H."""
+
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0), (0.5, -3.0)])
+    def test_matches_the_spectral_oracle(self, h, j):
+        spec = HamiltonianSpec(h, j)
+        for t in np.linspace(0.0, 10.0 / h, 101):
+            oracle = evolve(hamiltonian_joint(spec), t)
+            assert np.max(np.abs(joint_unitary(spec, t) - oracle)) < 1e-13
+
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (0.5, -3.0)])
+    def test_unitary_and_composes(self, h, j):
+        spec = HamiltonianSpec(h, j)
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            t1, t2 = 10.0 / h * rng.random(2)
+            u1, u2 = joint_unitary(spec, t1), joint_unitary(spec, t2)
+            assert np.max(np.abs(u1 @ u1.conj().T - I4)) < 1e-13
+            assert np.max(np.abs(u1 @ u2 - joint_unitary(spec, t1 + t2))) < 1e-13
+
+    def test_starts_at_identity_and_rejects_negative_time(self):
+        assert np.array_equal(joint_unitary(SPEC, 0.0), I4)
+        with pytest.raises(DomainError):
+            joint_unitary(SPEC, -1e-9)
