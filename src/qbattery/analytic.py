@@ -12,8 +12,9 @@ whenever the two disagree.
 The passivity scan evaluates the reference protocol on the whole Bloch
 grid at once from one probe unitary: the kept branch is affine in
 z = s cos theta, so w_p is quadratic in it, and the scan costs a few
-grid-sized array operations instead of one run_protocol call per point.
-run_protocol stays the scalar oracle the scan is tested against.
+grid-sized array operations. run_protocol, the stacked brute-force
+oracle, stays what the scan is tested against; every function here that
+takes s, theta or t also takes arrays of them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ EXTRACTABLE_THRESHOLD = 1e-8
 AUX_GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
 
 
-def wp_closed_form(s: float, theta: float, spec: HamiltonianSpec, t: float) -> float:
+def wp_closed_form(s, theta, spec: HamiltonianSpec, t):
     """Exact w_p of the reference protocol, in units of h.
 
     (1 / (4 (4h^2+J^2))) * [-4h^2 + (4h^2+J^2) cos(2Jt)
@@ -45,55 +46,59 @@ def wp_closed_form(s: float, theta: float, spec: HamiltonianSpec, t: float) -> f
 
     evaluated with W = sqrt(4h^2+J^2) formed as hypot(2h, J) and the bracket
     divided through by W^2, so that no squared energy over- or underflows.
+    s, theta and t may be arrays that broadcast.
     """
     h, j = spec.h, spec.J
     omega = math.hypot(2.0 * h, j)
     bracket = (
         -((2.0 * h / omega) ** 2)
-        + math.cos(2.0 * j * t)
-        - (j / omega) ** 2 * math.cos(2.0 * omega * t)
+        + np.cos(2.0 * j * t)
+        - (j / omega) ** 2 * np.cos(2.0 * omega * t)
     )
-    return bracket * (-1.0 + s * s * math.cos(theta) ** 2) / 4.0
+    return bracket * (-1.0 + s * s * np.cos(theta) ** 2) / 4.0
 
 
-def wp_small_t(s: float, theta: float, spec: HamiltonianSpec) -> float:
+def wp_small_t(s, theta, spec: HamiltonianSpec):
     """Coefficient of t^4 in the small-t expansion of wp_closed_form.
 
     -8 (4 h^4 J^2 + h^2 J^4) (-1 + s^2 cos^2 theta) / (12 (4h^2 + J^2)),
     which is -(2/3) h^2 J^2 (-1 + s^2 cos^2 theta): the factor 4h^2 + J^2
-    cancels.
+    cancels. s and theta may be arrays that broadcast.
     """
-    return -2.0 / 3.0 * (spec.h * spec.J) ** 2 * (-1.0 + s * s * math.cos(theta) ** 2)
+    return -2.0 / 3.0 * (spec.h * spec.J) ** 2 * (-1.0 + s * s * np.cos(theta) ** 2)
 
 
-def wp_excited_oracle(spec: HamiltonianSpec, t: float) -> float:
+def wp_excited_oracle(spec: HamiltonianSpec, t):
     """Brute-force w_p for draining the fully excited battery.
 
     Battery |0><0|, auxiliary |0><0|, sigma_z measurement, ground outcome.
     The simulated value follows 2hJ^2 sin^2(sqrt(4h^2+J^2) t) / (4h^2+J^2);
-    see wp_excited_sine_variant for the alternative printed form.
+    see wp_excited_sine_variant for the alternative printed form. ``t`` may
+    be an array: one stacked run_protocol call evaluates every time.
     """
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
     return run_protocol(rho0, spec, t, Z_BASIS, 1).w_p
 
 
-def wp_excited_closed_form(spec: HamiltonianSpec, t: float) -> float:
+def wp_excited_closed_form(spec: HamiltonianSpec, t):
     """2hJ^2 sin^2(sqrt(4h^2+J^2) t) / (4h^2+J^2), matching the oracle."""
     omega = math.hypot(2.0 * spec.h, spec.J)
-    return 2.0 * spec.h * (spec.J / omega) ** 2 * math.sin(omega * t) ** 2
+    return 2.0 * spec.h * (spec.J / omega) ** 2 * np.sin(omega * t) ** 2
 
 
-def wp_excited_sine_variant(spec: HamiltonianSpec, t: float) -> float:
+def wp_excited_sine_variant(spec: HamiltonianSpec, t):
     """Alternative closed form 2hJ^2 sin((4h^2+J^2) t) / (4h^2+J^2).
 
     Kept only for comparison reporting: the phase argument (4h^2+J^2)*t
     carries units of energy^2 * time (hbar = 1), so the expression is
     dimensionally inconsistent and does not match the simulation. The
-    sin^2(sqrt(4h^2+J^2) t) form does.
+    sin^2(sqrt(4h^2+J^2) t) form does. Where (4h^2+J^2)*t is not finite
+    (it overflows at large h or J) the variant is NaN.
     """
     omega = math.hypot(2.0 * spec.h, spec.J)
-    return 2.0 * spec.h * (spec.J / omega) ** 2 * math.sin(omega * omega * t)
+    with np.errstate(invalid="ignore"):
+        return 2.0 * spec.h * (spec.J / omega) ** 2 * np.sin(omega * omega * t)
 
 
 def excited_quarter_period(spec: HamiltonianSpec) -> float:
@@ -152,7 +157,7 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
     levels: <i|M|i> = |U[2i+1, 2i+1]|^2 <i|b|i> for the initial battery
     b = (I + x sx + z sz)/2. The coherence x drops out, P = Tr M and
     Tr(M sz) are affine in z = s cos theta, and w_p = P h z - h Tr(M sz),
-    as run_protocol computes it point by point (the scalar oracle).
+    as run_protocol computes it point by point (the oracle).
     Memory grows as a few grid_n^2 floats.
     """
     if grid_n < 2:
@@ -180,6 +185,7 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
     return MpsScanReport(s_grid, theta_grid, max_wp, max_wp <= threshold, threshold, t_probe)
 
 
-def separable_initial_bloch(s: float, theta: float) -> np.ndarray:
-    """Product state of a Bloch-parameterized battery with the ground auxiliary."""
+def separable_initial_bloch(s, theta) -> np.ndarray:
+    """Product state of a Bloch-parameterized battery with the ground auxiliary;
+    a stack (..., 4, 4) when s or theta are arrays."""
     return qmath.kron(bloch_state(BlochVector(s, theta)), AUX_GROUND)

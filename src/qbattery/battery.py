@@ -43,34 +43,47 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Spherical coordinates (r, theta, phi) of a qubit state on the Bloch ball."""
+    """Spherical coordinates (r, theta, phi) of a qubit state on the Bloch ball.
+
+    Each coordinate is a number or an array; arrays broadcast against each
+    other and describe a stack of states.
+    """
 
     r: float
     theta: float
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.r <= 1.0):
+        r = np.asarray(self.r)
+        if not np.all((0.0 <= r) & (r <= 1.0)):
             raise DomainError(f"Bloch radius must lie in [0, 1], got {self.r}")
 
     def cartesian(self) -> tuple[float, float, float]:
+        sin_theta = np.sin(self.theta)
         return (
-            self.r * math.sin(self.theta) * math.cos(self.phi),
-            self.r * math.sin(self.theta) * math.sin(self.phi),
-            self.r * math.cos(self.theta),
+            self.r * sin_theta * np.cos(self.phi),
+            self.r * sin_theta * np.sin(self.phi),
+            self.r * np.cos(self.theta),
         )
 
 
-def battery_state(k: float) -> np.ndarray:
-    """Diagonal battery state diag((1+k)/2, (1-k)/2), |0> excited, |k| <= 1."""
-    if abs(k) > 1.0:
+def battery_state(k) -> np.ndarray:
+    """Diagonal battery state diag((1+k)/2, (1-k)/2), |0> excited, |k| <= 1.
+
+    ``k`` may be an array; the result is then a stack (..., 2, 2).
+    """
+    k = np.asarray(k, dtype=float)
+    if np.any(np.abs(k) > 1.0):
         raise DomainError(f"population bias k must lie in [-1, 1], got {k}")
-    return np.diag([(1.0 + k) / 2.0, (1.0 - k) / 2.0]).astype(complex)
+    rho = np.zeros(k.shape + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 1, 1] = (1.0 + k) / 2.0, (1.0 - k) / 2.0
+    return rho
 
 
 def bloch_state(b: BlochVector) -> np.ndarray:
-    """Density matrix (I + r.sigma)/2 for a Bloch vector."""
-    x, y, z = b.cartesian()
+    """Density matrix (I + r.sigma)/2 for a Bloch vector, or a stack (..., 2, 2)
+    for a BlochVector of arrays."""
+    x, y, z = (np.asarray(c)[..., None, None] for c in b.cartesian())
     return 0.5 * (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
@@ -88,9 +101,14 @@ def hamiltonian_joint(spec: HamiltonianSpec) -> np.ndarray:
     )
 
 
-def energy(rho, spec: HamiltonianSpec) -> float:
-    """Mean battery energy Tr(rho * h*sigma_z)."""
-    return float(np.real(np.trace(np.asarray(rho) @ hamiltonian_battery(spec))))
+def energy(rho, spec: HamiltonianSpec) -> float | np.ndarray:
+    """Mean battery energy Tr(rho * h*sigma_z): a float for one state, an
+    array for a stack (..., 2, 2)."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise DimensionError(f"expected 2x2 battery states, got shape {rho.shape}")
+    e = spec.h * (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return float(e) if np.ndim(e) == 0 else e
 
 
 def _bloch_components(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

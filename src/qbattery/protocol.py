@@ -11,6 +11,13 @@ outcome, and score the branch by
 the outcome probability times the battery energy drop. The energy drop is
 always taken against the t=0 battery marginal, so the figure of merit
 cannot be gamed by crediting energy moved during the evolution itself.
+
+run_protocol is the one oracle for this pipeline, and it is stacked: the
+initial state may be a stack (..., 4, 4), and the time, the basis angles
+and the outcome index may be arrays, all broadcasting against each other.
+One state with scalar parameters is the stack-of-one case of the same code
+and returns plain floats. The state builders (separable_initial,
+entangled_initial) take arrays of parameters the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import qmath
 from .battery import BlochVector, HamiltonianSpec, battery_state, bloch_state, energy
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 
 # Below this outcome probability the post-selected state is numerically
 # meaningless; such branches report w_p = 0 instead of dividing by ~0.
@@ -35,20 +42,25 @@ class MeasurementBasis:
 
     Outcome 0 projects onto (cos(theta/2), e^{-i phi} sin(theta/2)),
     outcome 1 onto its orthogonal complement
-    (sin(theta/2), -e^{-i phi} cos(theta/2)).
+    (sin(theta/2), -e^{-i phi} cos(theta/2)). theta and phi may be arrays
+    that broadcast against each other: a stack of bases.
     """
 
     theta: float
     phi: float = 0.0
 
-    def outcome_ket(self, outcome_index: int) -> np.ndarray:
-        c, s = math.cos(self.theta / 2.0), math.sin(self.theta / 2.0)
-        w = complex(math.cos(self.phi), -math.sin(self.phi))
-        if outcome_index == 0:
-            return np.array([c, w * s], dtype=complex)
-        if outcome_index == 1:
-            return np.array([s, -w * c], dtype=complex)
-        raise DomainError(f"outcome_index must be 0 or 1, got {outcome_index}")
+    def outcome_ket(self, outcome_index) -> np.ndarray:
+        """Kets of shape (..., 2); ``outcome_index`` (0 or 1) may be an array."""
+        index = np.asarray(outcome_index)
+        if ((index != 0) & (index != 1)).any():
+            raise DomainError(f"outcome_index must be 0 or 1, got {outcome_index}")
+        c, s = np.cos(self.theta / 2.0), np.sin(self.theta / 2.0)
+        w = np.cos(self.phi) - 1j * np.sin(self.phi)
+        one = index == 1
+        first, second = np.where(one, s, c), np.where(one, -w * c, w * s)
+        ket = np.empty(np.broadcast(first, second).shape + (2,), dtype=complex)
+        ket[..., 0], ket[..., 1] = first, second
+        return ket
 
 
 Z_BASIS = MeasurementBasis(theta=0.0, phi=0.0)
@@ -59,7 +71,8 @@ class EntangledInitParams:
     """Joint pure state sqrt((1+k)/2)|0>|chi> + sqrt((1-k)/2)|1>|chi_perp>.
 
     (theta, phi) orient the auxiliary Schmidt basis {|chi>, |chi_perp>};
-    the battery marginal is battery_state(k) for every orientation.
+    the battery marginal is battery_state(k) for every orientation. Each
+    field may be an array: a stack of states.
     """
 
     k: float
@@ -67,52 +80,51 @@ class EntangledInitParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if abs(self.k) > 1.0:
+        if np.any(np.abs(self.k) > 1.0):
             raise DomainError(f"population bias k must lie in [-1, 1], got {self.k}")
 
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """One post-selected branch: probability, post state, energy drop, w_p.
+    """Post-selected branches: probability, post state, energy drop, w_p.
 
-    ``post_state`` is None when the branch probability is below
-    ZERO_PROBABILITY (impossible outcome); then delta_e and w_p are 0.
+    For one state with scalar parameters every field is a number and
+    ``post_state`` a 2x2 array, or None when the branch probability is below
+    ZERO_PROBABILITY (an impossible outcome). For a stack every field is an
+    array of the broadcast shape (``post_state`` (..., 2, 2)). The rule is
+    per element: an impossible element has its probability clipped at 0,
+    delta_e = w_p = 0, and a zero matrix as its post state.
     """
 
-    probability: float
+    probability: float | np.ndarray
     post_state: np.ndarray | None
-    delta_e: float
-    w_p: float
-    outcome_index: int
+    delta_e: float | np.ndarray
+    w_p: float | np.ndarray
+    outcome_index: int | np.ndarray
 
 
-def separable_initial(k: float, aux: BlochVector) -> np.ndarray:
-    """Product initial state battery_state(k) x bloch_state(aux)."""
+def separable_initial(k, aux: BlochVector) -> np.ndarray:
+    """Product initial state battery_state(k) x bloch_state(aux); a stack
+    (..., 4, 4) when k or the fields of aux are arrays."""
     return qmath.kron(battery_state(k), bloch_state(aux))
 
 
 def entangled_ket(p: EntangledInitParams) -> np.ndarray:
+    """Joint ket of shape (..., 4) in the basis |00>, |01>, |10>, |11>."""
     basis = MeasurementBasis(p.theta, p.phi)
-    a = math.sqrt((1.0 + p.k) / 2.0)
-    b = math.sqrt((1.0 - p.k) / 2.0)
-    ket = np.zeros(4, dtype=complex)
-    ket[0:2] = a * basis.outcome_ket(0)
-    ket[2:4] = b * basis.outcome_ket(1)
-    return ket
+    k = np.asarray(p.k, dtype=float)[..., None]
+    first, second = np.sqrt((1.0 + k) / 2.0), np.sqrt((1.0 - k) / 2.0)
+    return np.concatenate([first * basis.outcome_ket(0), second * basis.outcome_ket(1)], axis=-1)
 
 
 def entangled_initial(p: EntangledInitParams) -> np.ndarray:
-    """Rank-1 projector onto the Schmidt-form joint pure state."""
+    """Rank-1 projector onto the Schmidt-form joint pure state, (..., 4, 4)."""
     ket = entangled_ket(p)
-    return np.outer(ket, ket.conj())
+    return ket[..., :, None] * ket.conj()[..., None, :]
 
 
 def run_protocol(
-    rho0,
-    spec: HamiltonianSpec,
-    t: float,
-    basis: MeasurementBasis,
-    outcome_index: int,
+    rho0, spec: HamiltonianSpec, t, basis: MeasurementBasis, outcome_index
 ) -> ProtocolResult:
     """Evolve, measure the auxiliary, post-select, and score one branch.
 
@@ -122,28 +134,47 @@ def run_protocol(
 
         M[i][j] = sum_ab conj(chi[a]) rho_t[2i+a][2j+b] chi[b]
 
-    whose trace is the outcome probability. delta_e compares the normalized
-    post state against the t=0 battery marginal of rho0.
+    whose trace is the outcome probability; it is computed as V rho0 V^dag
+    with V = (I x <chi|) U. delta_e compares the normalized post state
+    against the t=0 battery marginal of rho0.
+
+    rho0 is one 4x4 state or a stack (..., 4, 4); t, the angles of ``basis``
+    and ``outcome_index`` are numbers or arrays. All of them broadcast
+    against the stack shape, and the result holds one branch per element
+    of the broadcast shape (see ProtocolResult).
     """
-    rho0 = qmath.as_operator(rho0)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape[-2:] != (4, 4):
+        raise DimensionError(f"expected 4x4 joint states, got shape {rho0.shape}")
     u = joint_unitary(spec, t)
-    rho_t = u @ rho0 @ u.conj().T
     chi = basis.outcome_ket(outcome_index)
-    m = np.einsum("a,iajb,b->ij", chi.conj(), rho_t.reshape(2, 2, 2, 2), chi)
-    probability = float(np.real(np.trace(m)))
-    if probability < ZERO_PROBABILITY:
-        return ProtocolResult(max(probability, 0.0), None, 0.0, 0.0, outcome_index)
-    post = m / probability
+    # the rows of (I x <chi|) U, so that M = V rho0 V^dag without forming rho_t
+    v = np.einsum("...a,...iac->...ic", chi.conj(), u.reshape(u.shape[:-2] + (2, 2, 4)))
+    m = np.einsum("...ic,...cd,...jd->...ij", v, rho0, v.conj())
+    probability = np.trace(m, axis1=-2, axis2=-1).real
+    impossible = probability < ZERO_PROBABILITY
+    post = m / np.where(impossible, 1.0, probability)[..., None, None]
+    post[impossible] = 0.0
     e0 = energy(qmath.partial_trace_second(rho0), spec)
-    delta_e = e0 - energy(post, spec)
-    return ProtocolResult(probability, post, delta_e, probability * delta_e, outcome_index)
+    delta_e = np.where(impossible, 0.0, e0 - energy(post, spec))
+    # possible elements have probability >= ZERO_PROBABILITY > 0, so only
+    # impossible ones are clipped, and their w_p is 0 * 0
+    probability = np.maximum(probability, 0.0)
+    w_p = probability * delta_e
+    if probability.ndim == 0:
+        post = None if impossible else post
+        scalars = float(probability), post, float(delta_e), float(w_p), int(outcome_index)
+        return ProtocolResult(*scalars)
+    index = np.broadcast_to(outcome_index, probability.shape)
+    return ProtocolResult(probability, post, delta_e, w_p, index)
 
 
-def best_outcome(rho0, spec: HamiltonianSpec, t: float, basis: MeasurementBasis) -> ProtocolResult:
-    """The branch with the larger w_p; ties go to outcome 0."""
+def best_outcome(rho0, spec: HamiltonianSpec, t, basis: MeasurementBasis) -> ProtocolResult:
+    """The branch with the larger w_p; ties go to outcome 0. Stacks as in
+    run_protocol, with the choice made per element."""
     first = run_protocol(rho0, spec, t, basis, 0)
     second = run_protocol(rho0, spec, t, basis, 1)
-    return second if second.w_p > first.w_p else first
+    return run_protocol(rho0, spec, t, basis, np.where(second.w_p > first.w_p, 1, 0))
 
 
 def parity_blocks(spec: HamiltonianSpec, t):
@@ -161,9 +192,14 @@ def parity_blocks(spec: HamiltonianSpec, t):
     return d, -1j * ((spec.J / omega) * sin_wt), np.cos(jt), -1j * np.sin(jt)
 
 
-def joint_unitary(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """exp(-i H t) for the joint Hamiltonian, assembled from its parity blocks."""
-    if t < 0:
+def joint_unitary(spec: HamiltonianSpec, t) -> np.ndarray:
+    """exp(-i H t) for the joint Hamiltonian, assembled from its parity blocks:
+    4x4 for one time, (..., 4, 4) for an array of times."""
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
         raise DomainError("evolution time must be non-negative")
     d, o, c, s = parity_blocks(spec, t)
-    return np.array([[d, 0, 0, o], [0, c, s, 0], [0, s, c, 0], [o, 0, 0, np.conj(d)]], complex)
+    u = np.zeros(t.shape + (4, 4), dtype=complex)
+    u[..., 0, 0], u[..., 0, 3], u[..., 3, 0], u[..., 3, 3] = d, o, o, np.conj(d)
+    u[..., 1, 1], u[..., 1, 2], u[..., 2, 1], u[..., 2, 2] = c, s, s, c
+    return u

@@ -3,6 +3,7 @@
 Everything here is exact at dimension 2 or 4: tensor products, Hermitian
 eigendecomposition, unitary evolution built from the spectral decomposition
 (no series truncation), and the partial trace over the second qubit.
+kron and partial_trace_second also take stacks of operators (..., d, d).
 All functions are pure and all arrays are treated as immutable values.
 
 Conventions: hbar = 1; the computational basis is the sigma_z eigenbasis
@@ -51,43 +52,27 @@ def is_hermitian(m, atol: float = HERMITICITY_ATOL) -> bool:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product of two single-qubit operators (2x2 each -> 4x4)."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise DimensionError("kron expects two 2x2 operands")
-    return np.kron(a, b)
+    """Tensor product of single-qubit operators (2x2 each -> 4x4).
+
+    Either operand may be a stack (..., 2, 2); the stacks broadcast.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        raise DimensionError("kron expects two 2x2 operands or stacks of them")
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def hermitian_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with a deterministic order.
+    """Eigendecomposition of a Hermitian matrix, as numpy's eigh returns it.
 
-    Eigenvalues ascend; exact ties are broken by lexicographic comparison
-    of the eigenvector real parts, so degenerate spectra still produce a
-    reproducible pairing.
+    Eigenvalues ascend. Inside a degenerate eigenspace the basis is whatever
+    eigh picks, which is the same on every call with the same input.
     """
     a = as_operator(m)
     if not is_hermitian(a):
         raise HermiticityError("input is not Hermitian within 1e-12")
-    values, vectors = np.linalg.eigh(a)
-    order = _tie_broken_order(values, vectors)
-    return EigenDecomposition(values[order].copy(), vectors[:, order].copy())
-
-
-def _tie_broken_order(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # eigh already ascends; only reorder inside exactly-degenerate groups.
-    order = np.arange(values.size)
-    start = 0
-    while start < values.size:
-        stop = start + 1
-        while stop < values.size and values[stop] == values[start]:
-            stop += 1
-        if stop - start > 1:
-            group = order[start:stop]
-            keys = [tuple(np.real(vectors[:, i])) for i in group]
-            order[start:stop] = group[np.array(sorted(range(len(keys)), key=keys.__getitem__))]
-        start = stop
-    return order
+    return EigenDecomposition(*np.linalg.eigh(a))
 
 
 def evolve(h_total, t: float) -> np.ndarray:
@@ -104,8 +89,8 @@ def evolve(h_total, t: float) -> np.ndarray:
 
 
 def partial_trace_second(rho) -> np.ndarray:
-    """Trace out the second qubit of a two-qubit operator."""
-    a = as_operator(rho)
-    if a.shape != (4, 4):
-        raise DimensionError("partial_trace_second expects a 4x4 matrix")
-    return np.einsum("iaja->ij", a.reshape(2, 2, 2, 2))
+    """Trace out the second qubit of a two-qubit operator or a stack (..., 4, 4)."""
+    a = np.asarray(rho, dtype=complex)
+    if a.shape[-2:] != (4, 4):
+        raise DimensionError(f"partial_trace_second expects 4x4 operators, got shape {a.shape}")
+    return np.einsum("...iaja->...ij", a.reshape(a.shape[:-2] + (2, 2, 2, 2)))

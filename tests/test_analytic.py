@@ -103,6 +103,34 @@ class TestExcitedDrain:
         assert gap > 0.5
 
 
+    def test_sine_variant_is_nan_where_its_phase_overflows(self):
+        # (4h^2+J^2) t overflows at h = 1e200; the variant reports NaN instead of raising
+        huge = HamiltonianSpec(1e200, 2e200)
+        assert math.isnan(wp_excited_sine_variant(huge, 1e-200))
+        assert np.all(np.isnan(wp_excited_sine_variant(huge, np.array([0.0, 1e-201]))))
+
+    def test_times_as_an_array(self):
+        times = np.linspace(0.0, 2.5, 9)
+        stacked = wp_excited_oracle(SPEC, times)
+        assert np.array_equal(stacked, [wp_excited_oracle(SPEC, t) for t in times])
+
+
+class TestStackedReferenceProtocol:
+    def test_arrays_equal_one_point_at_a_time(self):
+        rng = np.random.default_rng(98)
+        s, theta, t = rng.random(7), np.pi * rng.random(7), 10.0 * rng.random(7)
+        states = separable_initial_bloch(s, theta)
+        closed, small = wp_closed_form(s, theta, SPEC, t), wp_small_t(s, theta, SPEC)
+        for i in range(7):
+            assert np.array_equal(states[i], separable_initial_bloch(s[i], theta[i]))
+            assert closed[i] == wp_closed_form(s[i], theta[i], SPEC, t[i])
+            assert small[i] == wp_small_t(s[i], theta[i], SPEC)
+
+    def test_rejects_a_radius_out_of_range_inside_an_array(self):
+        with pytest.raises(DomainError):
+            separable_initial_bloch(np.array([0.5, 1.5]), 1.0)
+
+
 class TestEntanglementEntropy:
     def test_balanced_state_is_one_ebit(self):
         assert entanglement_entropy(0.0) == pytest.approx(1.0, abs=1e-12)

@@ -62,6 +62,16 @@ class TestBatteryState:
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
 
+    def test_array_of_biases_is_a_stack(self):
+        ks = np.linspace(-1.0, 1.0, 9)
+        stacked = battery_state(ks)
+        assert stacked.shape == (9, 2, 2)
+        for k, rho in zip(ks, stacked):
+            assert np.array_equal(rho, battery_state(k))
+        with pytest.raises(DomainError):
+            battery_state(np.array([0.0, 1.0 + 1e-12]))
+
+
 class TestBlochState:
     def test_center_is_maximally_mixed(self):
         assert np.allclose(bloch_state(BlochVector(0.0, 1.1, 2.2)), I2 / 2.0)
@@ -105,6 +115,16 @@ class TestHamiltonians:
 
 
 class TestEnergy:
+    def test_stack_gives_an_array_and_one_state_a_float(self):
+        rhos = bloch_state(BlochVector(np.array([0.2, 0.9]), np.array([0.3, 2.5]), 1.0))
+        energies = energy(rhos, HamiltonianSpec(h=2.0))
+        assert isinstance(energy(rhos[0], SPEC), float)
+        assert energies.shape == (2,)
+        expected = [2.0 * 0.2 * np.cos(0.3), 2.0 * 0.9 * np.cos(2.5)]
+        assert energies == pytest.approx(expected, abs=1e-15)
+        with pytest.raises(DimensionError):
+            energy(np.eye(4), SPEC)
+
     @pytest.mark.parametrize("k", [-1.0, -0.3, 0.0, 0.6, 1.0])
     def test_diagonal_state(self, k):
         assert energy(battery_state(k), SPEC) == pytest.approx(k, abs=1e-12)

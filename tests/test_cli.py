@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +231,40 @@ class TestVerify:
         closed_form = verify.ergotropy
         monkeypatch.setattr(verify, "ergotropy", lambda rho, spec: closed_form(rho, spec) + 1e-9)
         assert not verify.suite_passive_ergotropy(HamiltonianSpec(), np.random.default_rng(0)).passed
+
+    def test_reruns_are_identical(self):
+        spec = HamiltonianSpec(1.0, 2.0)
+        assert run_suites(spec, 11) == run_suites(spec, 11)
+
+    @pytest.mark.parametrize(
+        "suite",
+        ["measurement_protocol", "closed_form", "small_t_quartic", "zero_coupling_pointwise"],
+    )
+    def test_a_nan_from_the_oracle_fails_the_suite(self, monkeypatch, suite):
+        # one NaN w_p among the samples must fail the suite, not vanish in a max
+        oracle = verify.run_protocol
+
+        def nan_oracle(*args):
+            result = oracle(*args)
+            w_p = np.array(result.w_p, dtype=float)
+            w_p[..., -1] = np.nan
+            return dataclasses.replace(result, w_p=w_p)
+
+        monkeypatch.setattr(verify, "run_protocol", nan_oracle)
+        rng = np.random.default_rng(3)
+        args = (verify.CLOSED_FORM_TOL,) if suite == "closed_form" else ()
+        result = getattr(verify, f"suite_{suite}")(HamiltonianSpec(), rng, *args)
+        assert not result.passed
+        assert math.isnan(result.residual)
+
+    @pytest.mark.parametrize("h, j", [("1e200", "2e200"), ("1e-200", "2e-200")])
+    def test_passes_at_extreme_scales(self, capsys, h, j):
+        assert main(["verify", "--h", h, "--J", j]) == 0
+        out, err = capsys.readouterr()
+        assert "11/11 suites passed" in out and "FAIL" not in out
+        assert "Traceback" not in out + err
+        residuals = [float(x) for x in re.findall(r"max_residual=(\S+)", out)]
+        assert len(residuals) == 11 and all(math.isfinite(r) for r in residuals)
 
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0

@@ -46,6 +46,15 @@ class TestKron:
         with pytest.raises(DimensionError):
             qmath.kron(I4, I2)
 
+    def test_stacks_broadcast_and_equal_numpy_kron(self):
+        rng = np.random.default_rng(5)
+        a = np.array([random_hermitian(rng, 2) for _ in range(6)])
+        b = random_hermitian(rng, 2)
+        stacked = qmath.kron(a, b)
+        assert stacked.shape == (6, 4, 4)
+        for i in range(6):
+            assert np.array_equal(stacked[i], np.kron(a[i], b))
+
 
 class TestHermitianEig:
     def test_sigma_z_spectrum(self):
@@ -153,6 +162,14 @@ class TestPartialTraceSecond:
         rng = np.random.default_rng(8)
         m = random_hermitian(rng, 4)
         assert abs(np.trace(qmath.partial_trace_second(m)) - np.trace(m)) < 1e-12
+
+    def test_stack_equals_one_operator_at_a_time(self):
+        rng = np.random.default_rng(6)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(5)]).reshape(5, 1, 4, 4)
+        traced = qmath.partial_trace_second(stack)
+        assert traced.shape == (5, 1, 2, 2)
+        for i in range(5):
+            assert np.array_equal(traced[i, 0], qmath.partial_trace_second(stack[i, 0]))
 
     def test_rejects_single_qubit_input(self):
         with pytest.raises(DimensionError):
