@@ -9,12 +9,12 @@ azimuth drops out), with a quartic small-t law. Every closed form here is
 shadowed by the brute-force protocol simulation, which is authoritative
 whenever the two disagree.
 
-The passivity scan evaluates the reference protocol on the whole Bloch
-grid at once from one probe unitary: the kept branch is affine in
-z = s cos theta, so w_p is quadratic in it, and the scan costs a few
-grid-sized array operations. run_protocol, the stacked brute-force
-oracle, stays what the scan is tested against; every function here that
-takes s, theta or t also takes arrays of them.
+The passivity scan is the reference closed form evaluated on the whole
+Bloch grid at the probe time, plus the excited-battery drain closed form
+on the fully excited state: a few grid-sized array operations. The verify
+suites hold both closed forms to run_protocol, the stacked brute-force
+oracle. Every function here that takes s, theta or t also takes arrays of
+them.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import BlochVector, HamiltonianSpec, bloch_state
-from .errors import ConfigError, DomainError
-from .protocol import Z_BASIS, ZERO_PROBABILITY, joint_unitary, run_protocol
+from .battery import BlochVector, HamiltonianSpec, bloch_state, check_population_bias
+from .errors import ConfigError
+from .protocol import Z_BASIS, run_protocol
 from . import qmath
 
-# Scan defaults. The probe time must sit where the closed-form bracket is
+# Scan defaults. The probe time must sit where the closed-form w_p is
 # positive but small; 0.1/h keeps the weakest on-grid signal of a 101x101
 # scan about 25x above the extractability threshold.
 DEFAULT_T_PROBE = 0.1
@@ -44,18 +44,16 @@ def wp_closed_form(s, theta, spec: HamiltonianSpec, t):
     (1 / (4 (4h^2+J^2))) * [-4h^2 + (4h^2+J^2) cos(2Jt)
         - J^2 cos(2 sqrt(4h^2+J^2) t)] * (-1 + s^2 cos^2 theta),
 
-    evaluated with W = sqrt(4h^2+J^2) formed as hypot(2h, J) and the bracket
-    divided through by W^2, so that no squared energy over- or underflows.
-    s, theta and t may be arrays that broadcast.
+    evaluated as [(J/W)^2 sin^2(W t) - sin^2(J t)] (-1 + s^2 cos^2 theta) / 2
+    with W = spec.omega, the same value by (2h/W)^2 + (J/W)^2 = 1 and
+    cos 2x = 1 - 2 sin^2 x. The sin^2 form is better conditioned: at small t
+    the printed bracket cancels terms of order 1 down to one of order (ht)^4,
+    the sin^2 form only terms of order (Jt)^2. No squared energy appears, so
+    nothing over- or underflows. The result is exactly 0 at J = 0, and the
+    + 0.0 turns -0.0 into 0.0. s, theta and t may be arrays that broadcast.
     """
-    h, j = spec.h, spec.J
-    omega = math.hypot(2.0 * h, j)
-    bracket = (
-        -((2.0 * h / omega) ** 2)
-        + np.cos(2.0 * j * t)
-        - (j / omega) ** 2 * np.cos(2.0 * omega * t)
-    )
-    return bracket * (-1.0 + s * s * np.cos(theta) ** 2) / 4.0
+    bracket = (spec.J / spec.omega) ** 2 * np.sin(spec.omega * t) ** 2 - np.sin(spec.J * t) ** 2
+    return bracket * (-1.0 + s * s * np.cos(theta) ** 2) / 2.0 + 0.0
 
 
 def wp_small_t(s, theta, spec: HamiltonianSpec):
@@ -83,8 +81,7 @@ def wp_excited_oracle(spec: HamiltonianSpec, t):
 
 def wp_excited_closed_form(spec: HamiltonianSpec, t):
     """2hJ^2 sin^2(sqrt(4h^2+J^2) t) / (4h^2+J^2), matching the oracle."""
-    omega = math.hypot(2.0 * spec.h, spec.J)
-    return 2.0 * spec.h * (spec.J / omega) ** 2 * np.sin(omega * t) ** 2
+    return 2.0 * spec.h * (spec.J / spec.omega) ** 2 * np.sin(spec.omega * t) ** 2
 
 
 def wp_excited_sine_variant(spec: HamiltonianSpec, t):
@@ -96,14 +93,14 @@ def wp_excited_sine_variant(spec: HamiltonianSpec, t):
     sin^2(sqrt(4h^2+J^2) t) form does. Where (4h^2+J^2)*t is not finite
     (it overflows at large h or J) the variant is NaN.
     """
-    omega = math.hypot(2.0 * spec.h, spec.J)
+    omega = spec.omega
     with np.errstate(invalid="ignore"):
         return 2.0 * spec.h * (spec.J / omega) ** 2 * np.sin(omega * omega * t)
 
 
 def excited_quarter_period(spec: HamiltonianSpec) -> float:
     """Time of the first extraction maximum for the excited-battery drain."""
-    return math.pi / (2.0 * math.hypot(2.0 * spec.h, spec.J))
+    return math.pi / (2.0 * spec.omega)
 
 
 def entanglement_entropy(k: float) -> float:
@@ -111,8 +108,7 @@ def entanglement_entropy(k: float) -> float:
 
     Binary entropy of (1+k)/2 in base 2, with 0*log(0) = 0.
     """
-    if abs(k) > 1.0:
-        raise DomainError(f"population bias k must lie in [-1, 1], got {k}")
+    check_population_bias(k)
     total = 0.0
     for p in ((1.0 + k) / 2.0, (1.0 - k) / 2.0):
         if p > 0.0:
@@ -145,42 +141,28 @@ class MpsScanReport:
 def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -> MpsScanReport:
     """Scan battery states (s, theta) for measurement passivity.
 
-    Each grid point runs the reference protocol at the probe time; points
-    where the battery is the fully excited state are additionally probed
-    with the excited-battery drain at its quarter period. A point is
+    Each grid point scores the reference protocol at the probe time, as
+    wp_closed_form evaluated on the whole grid at once; points where the
+    battery is the fully excited state also score the excited-battery
+    drain at its quarter period, as wp_excited_closed_form. A point is
     passive when every probe stays at or below the threshold; on the
     default regime only the ground state (s=1, theta=pi) qualifies.
-
-    The whole grid is evaluated at once from the one probe unitary U. The
-    auxiliary starts and is kept in its ground state |1>, and U conserves
-    the parity Z x Z, so the kept branch M is diagonal in the battery
-    levels: <i|M|i> = |U[2i+1, 2i+1]|^2 <i|b|i> for the initial battery
-    b = (I + x sx + z sz)/2. The coherence x drops out, P = Tr M and
-    Tr(M sz) are affine in z = s cos theta, and w_p = P h z - h Tr(M sz),
-    as run_protocol computes it point by point (the oracle).
     Memory grows as a few grid_n^2 floats.
     """
     if grid_n < 2:
         raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
     if t_probe is None:
         t_probe = DEFAULT_T_PROBE / spec.h
-    omega = math.hypot(2.0 * spec.h, spec.J)
-    if not 0.0 < t_probe < 1.0 / max(spec.h, abs(spec.J), omega):
+    # omega >= 2h, |J|, so omega t < 1 bounds every phase of the probe
+    if not 0.0 < t_probe < 1.0 / spec.omega:
         raise ConfigError(f"t_probe {t_probe} outside the small-time probe window")
     threshold = EXTRACTABLE_THRESHOLD * spec.h
 
     s_grid = np.linspace(0.0, 1.0, grid_n)
     theta_grid = np.linspace(0.0, math.pi, grid_n)
-    # H conserves the parity Z x Z, so U maps |i,1> to U[2i+1, 2i+1] |i,1> plus
-    # a state with the auxiliary excited: <i|M|i> = |U[2i+1, 2i+1]|^2 <i|b|i>
-    kept = np.abs(np.diag(joint_unitary(spec, t_probe))[1::2]) ** 2
-    z = np.outer(s_grid, np.cos(theta_grid))
-    excited_pop, ground_pop = kept[0] * (1.0 + z) / 2.0, kept[1] * (1.0 - z) / 2.0
-    probability = excited_pop + ground_pop
-    max_wp = spec.h * (probability * z - (excited_pop - ground_pop))
-    max_wp[probability < ZERO_PROBABILITY] = 0.0
-    excited = z >= 1.0 - 1e-12
-    drain_peak = wp_excited_oracle(spec, excited_quarter_period(spec))
+    max_wp = spec.h * wp_closed_form(s_grid[:, None], theta_grid, spec, t_probe)
+    excited = np.outer(s_grid, np.cos(theta_grid)) >= 1.0 - 1e-12
+    drain_peak = wp_excited_closed_form(spec, excited_quarter_period(spec))
     max_wp[excited] = np.maximum(max_wp[excited], drain_peak)
     return MpsScanReport(s_grid, theta_grid, max_wp, max_wp <= threshold, threshold, t_probe)
 

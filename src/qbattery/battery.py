@@ -40,6 +40,12 @@ class HamiltonianSpec:
         if not math.isfinite(self.J):
             raise DomainError(f"coupling J must be finite, got {self.J}")
 
+    @property
+    def omega(self) -> float:
+        """Rabi frequency sqrt(4h^2 + J^2) of the {|00>, |11>} parity block,
+        formed as hypot(2h, J): finite and non-zero at any scale of h and J."""
+        return math.hypot(2.0 * self.h, self.J)
+
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -67,14 +73,20 @@ class BlochVector:
         )
 
 
+def check_population_bias(k) -> None:
+    """Raise DomainError unless k, a number or an array, lies in [-1, 1]; NaN
+    fails, since every comparison with it is False."""
+    if not np.all(np.abs(k) <= 1.0):
+        raise DomainError(f"population bias k must lie in [-1, 1], got {k}")
+
+
 def battery_state(k) -> np.ndarray:
     """Diagonal battery state diag((1+k)/2, (1-k)/2), |0> excited, |k| <= 1.
 
     ``k`` may be an array; the result is then a stack (..., 2, 2).
     """
+    check_population_bias(k)
     k = np.asarray(k, dtype=float)
-    if np.any(np.abs(k) > 1.0):
-        raise DomainError(f"population bias k must lie in [-1, 1], got {k}")
     rho = np.zeros(k.shape + (2, 2), dtype=complex)
     rho[..., 0, 0], rho[..., 1, 1] = (1.0 + k) / 2.0, (1.0 - k) / 2.0
     return rho

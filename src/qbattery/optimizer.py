@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import HamiltonianSpec
+from .battery import HamiltonianSpec, check_population_bias
 from .errors import ConfigError, DomainError
 from .protocol import MeasurementBasis, parity_blocks
 
@@ -73,8 +73,7 @@ class SearchSpace:
     def __post_init__(self):
         if self.family not in _NAMES:
             raise ConfigError(f"unknown family {self.family!r}")
-        if abs(self.k) > 1.0:
-            raise DomainError(f"population bias k must lie in [-1, 1], got {self.k}")
+        check_population_bias(self.k)
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
 

@@ -22,13 +22,14 @@ entangled_initial) take arrays of parameters the same way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-from .battery import BlochVector, HamiltonianSpec, battery_state, bloch_state, energy
+from .battery import (
+    BlochVector, HamiltonianSpec, battery_state, bloch_state, check_population_bias, energy
+)
 from .errors import DimensionError, DomainError
 
 # Below this outcome probability the post-selected state is numerically
@@ -80,8 +81,7 @@ class EntangledInitParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if np.any(np.abs(self.k) > 1.0):
-            raise DomainError(f"population bias k must lie in [-1, 1], got {self.k}")
+        check_population_bias(self.k)
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def parity_blocks(spec: HamiltonianSpec, t):
     (finite and non-zero at any scale of h and J). H is J sigma_x on {|01>, |10>},
     so U = cos(J t) - i sin(J t) sigma_x = [[c, s], [s, c]] there. Returns (d, o, c, s).
     """
-    omega = math.hypot(2.0 * spec.h, spec.J)
+    omega = spec.omega
     wt, jt = omega * t, spec.J * t
     sin_wt = np.sin(wt)
     d = np.cos(wt) - 1j * ((2.0 * spec.h / omega) * sin_wt)

@@ -3,7 +3,8 @@
 Everything here is exact at dimension 2 or 4: tensor products, Hermitian
 eigendecomposition, unitary evolution built from the spectral decomposition
 (no series truncation), and the partial trace over the second qubit.
-kron and partial_trace_second also take stacks of operators (..., d, d).
+Every function also takes stacks of operators (..., d, d), and evolve
+takes arrays of times.
 All functions are pure and all arrays are treated as immutable values.
 
 Conventions: hbar = 1; the computational basis is the sigma_z eigenbasis
@@ -30,20 +31,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class EigenDecomposition(NamedTuple):
     """Spectral decomposition of a Hermitian matrix.
 
-    ``values`` is real and ascending; column ``vectors[:, i]`` is the
-    orthonormal eigenvector paired with ``values[i]``.
+    ``values`` is real and ascending; column ``vectors[..., :, i]`` is the
+    orthonormal eigenvector paired with ``values[..., i]``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def as_operator(m) -> np.ndarray:
-    """Return ``m`` as a square complex 2x2 or 4x4 array."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
-        raise DimensionError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
-    return a
 
 
 def is_hermitian(m, atol: float = HERMITICITY_ATOL) -> bool:
@@ -64,28 +57,34 @@ def kron(a, b) -> np.ndarray:
 
 
 def hermitian_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, as numpy's eigh returns it.
+    """Eigendecomposition of a Hermitian matrix or a stack (..., d, d) of them,
+    as numpy's eigh returns it.
 
     Eigenvalues ascend. Inside a degenerate eigenspace the basis is whatever
     eigh picks, which is the same on every call with the same input.
     """
-    a = as_operator(m)
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] not in ((2, 2), (4, 4)):
+        raise DimensionError(f"expected 2x2 or 4x4 matrices, got shape {a.shape}")
     if not is_hermitian(a):
         raise HermiticityError("input is not Hermitian within 1e-12")
     return EigenDecomposition(*np.linalg.eigh(a))
 
 
-def evolve(h_total, t: float) -> np.ndarray:
+def evolve(h_total, t) -> np.ndarray:
     """Unitary exp(-i*H*t) of a Hermitian generator, built spectrally.
 
     Exact up to eigensolver tolerance: V diag(exp(-i*lambda*t)) V^dag. The
     independent oracle of protocol.joint_unitary, which uses the parity blocks.
+    h_total may be a stack (..., d, d) and t an array of times; they
+    broadcast, and the result has one unitary per element, (..., d, d).
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
         raise DomainError("evolution time must be non-negative")
     values, vectors = hermitian_eig(h_total)
-    phases = np.exp(-1j * values * t)
-    return (vectors * phases) @ vectors.conj().T
+    phases = np.exp(-1j * values * t[..., None])
+    return (vectors * phases[..., None, :]) @ np.swapaxes(vectors, -1, -2).conj()
 
 
 def partial_trace_second(rho) -> np.ndarray:

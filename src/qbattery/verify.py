@@ -95,18 +95,15 @@ def _random_basis(rng, n) -> MeasurementBasis:
 def suite_operator_algebra(spec: HamiltonianSpec, rng) -> SuiteResult:
     residuals = []
     for dim in (2, 4):
-        for _ in range(40):
-            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m = raw + raw.conj().T
-            values, vectors = qmath.hermitian_eig(m)
-            residuals.append(_norms(vectors @ np.diag(values) @ vectors.conj().T - m))
-            residuals.append(_norms(vectors.conj().T @ vectors - np.eye(dim)))
-    h_joint = hamiltonian_joint(spec)
-    for _ in range(25):
-        t1, t2 = 10.0 / spec.h * rng.random(2)
-        u1, u2 = qmath.evolve(h_joint, t1), qmath.evolve(h_joint, t2)
-        residuals.append(_norms(u1 @ u2 - qmath.evolve(h_joint, t1 + t2)))
-        residuals.append(_norms(u1 @ u1.conj().T - np.eye(4)))
+        raw = rng.normal(size=(40, dim, dim)) + 1j * rng.normal(size=(40, dim, dim))
+        m = raw + _dagger(raw)
+        values, vectors = qmath.hermitian_eig(m)
+        residuals.append(_norms((vectors * values[:, None, :]) @ _dagger(vectors) - m))
+        residuals.append(_norms(_dagger(vectors) @ vectors - np.eye(dim)))
+    t1, t2 = 10.0 / spec.h * rng.random((2, 25))
+    u1, u2, u12 = qmath.evolve(hamiltonian_joint(spec), np.stack([t1, t2, t1 + t2]))
+    residuals.append(_norms(u1 @ u2 - u12))
+    residuals.append(_norms(u1 @ _dagger(u1) - np.eye(4)))
     a, b = bloch_state(_uniform_ball(rng, 25)), bloch_state(_uniform_ball(rng, 25))
     prod = qmath.kron(a, b)
     residuals.append(_norms(qmath.partial_trace_second(prod) - a))
@@ -116,14 +113,14 @@ def suite_operator_algebra(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 def suite_passive_ergotropy(spec: HamiltonianSpec, rng) -> SuiteResult:
     """The closed forms against a spectral oracle: populations of rho from one
-    stacked eigh, sorted descending, placed on the ascending levels of h_b.
+    stacked hermitian_eig, sorted descending, placed on the ascending levels of h_b.
     Energies are compared in units of h."""
     h, h_b = spec.h, hamiltonian_battery(spec)
     ks = np.linspace(-1.0, 1.0, 81)
     rhos = np.concatenate([bloch_state(_uniform_ball(rng, 2000)), battery_state(ks)])
 
-    pops = np.linalg.eigvalsh(rhos)[:, ::-1]
-    levels = np.linalg.eigh(h_b)[1]
+    pops = qmath.hermitian_eig(rhos).values[:, ::-1]
+    levels = qmath.hermitian_eig(h_b).vectors
     oracle = (levels * pops[:, None, :]) @ levels.conj().T
     work = ergotropy(rhos, spec)
     sigma = passive_state(rhos, h_b)
@@ -150,7 +147,7 @@ def suite_measurement_protocol(spec: HamiltonianSpec, rng) -> SuiteResult:
     basis = _random_basis(rng, n)
     both = run_protocol(rho0, spec, t, basis, BOTH_OUTCOMES)
     u = joint_unitary(spec, t)
-    evolved = qmath.partial_trace_second(u @ rho0 @ np.swapaxes(u, -1, -2).conj())
+    evolved = qmath.partial_trace_second(u @ rho0 @ _dagger(u))
     drained = energy(qmath.partial_trace_second(rho0), spec) - energy(evolved, spec)
     mean_drop = np.sum(both.probability * both.delta_e, axis=0)
     shifted = MeasurementBasis(basis.theta, basis.phi + 2.0 * math.pi)
@@ -196,7 +193,7 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 
 def suite_excited_drain(spec: HamiltonianSpec) -> SuiteResult:
-    h, omega = spec.h, math.hypot(2.0 * spec.h, spec.J)
+    h, omega = spec.h, spec.omega
     t = np.linspace(0.0, 2.0 * math.pi / omega, 50)
     oracle = analytic.wp_excited_oracle(spec, t) / h
     peak = analytic.wp_excited_oracle(spec, analytic.excited_quarter_period(spec)) / h
@@ -307,6 +304,11 @@ def run_suites(
 def _norms(stack) -> np.ndarray:
     """Frobenius norm of one matrix, or of each matrix of a stack."""
     return np.linalg.norm(stack, axis=(-2, -1))
+
+
+def _dagger(stack) -> np.ndarray:
+    """Conjugate transpose of one matrix, or of each matrix of a stack."""
+    return np.swapaxes(stack, -1, -2).conj()
 
 
 def _trace(stack) -> np.ndarray:

@@ -66,6 +66,17 @@ class TestSmallTCoefficient:
     def test_vanishes_without_coupling(self):
         assert wp_small_t(0.5, 1.0, HamiltonianSpec(h=1.0, J=0.0)) == 0.0
 
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.3), (2.0, 4.0), (0.5, -3.0)])
+    def test_closed_form_keeps_its_digits_at_small_t(self, h, j):
+        # at tau = h t = 1e-4 the closed form is c t^4 up to its t^6 term, a
+        # relative 1e-7 at most here; a bracket of cos 2x terms, which cancels
+        # terms of order 1, is off by 2e-2 to 0.4 there
+        spec, t = HamiltonianSpec(h, j), 1e-4 / h
+        rng = np.random.default_rng(12)
+        s, theta = rng.random(200), np.pi * rng.random(200)
+        ratio = wp_closed_form(s, theta, spec, t) / (wp_small_t(s, theta, spec) * t**4)
+        assert np.max(np.abs(ratio - 1.0)) <= 1e-6
+
     def test_matches_quartic_fit_of_oracle(self):
         rng = np.random.default_rng(7)
         times = np.array([1e-3, 2e-3, 4e-3])
@@ -154,6 +165,10 @@ class TestEntanglementEntropy:
         with pytest.raises(DomainError):
             entanglement_entropy(1.0001)
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            entanglement_entropy(math.nan)
+
 
 class TestMpsScan:
     def test_ground_state_is_the_only_passive_point(self):
@@ -177,6 +192,12 @@ class TestMpsScan:
         report = mps_scan(101, SPEC)
         nonzero = report.max_wp[report.max_wp > 0.0]
         assert nonzero.min() > 10.0 * report.threshold
+
+    def test_nothing_is_extractable_without_coupling(self):
+        # w_p is exactly 0 at J = 0, not a rounding residue of either sign
+        report = mps_scan(101, HamiltonianSpec(1.0, 0.0))
+        assert np.all(report.max_wp == 0.0)
+        assert not np.any(np.signbit(report.max_wp))
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ConfigError):

@@ -40,6 +40,13 @@ class TestHamiltonianSpec:
         with pytest.raises(DomainError):
             HamiltonianSpec(J=np.inf)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_omega_is_finite_and_non_zero_at_any_scale(self, scale):
+        # sqrt(4h^2 + J^2) squares would over- or underflow at 1e+-200
+        omega = HamiltonianSpec(scale, 2.0 * scale).omega
+        assert np.isfinite(omega) and omega > 0.0
+        assert omega == pytest.approx(np.sqrt(8.0) * scale, rel=1e-15)
+
 
 class TestBatteryState:
     def test_fully_excited(self):
@@ -54,6 +61,12 @@ class TestBatteryState:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             battery_state(1.2)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            battery_state(np.nan)
+        with pytest.raises(DomainError):
+            battery_state(np.array([0.0, np.nan]))
 
     @given(biases)
     def test_valid_density_matrix(self, k):

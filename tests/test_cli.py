@@ -294,6 +294,15 @@ class TestMps:
         main(["mps", "--grid-n", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("j", ["2", "0"])
+    def test_no_cell_prints_negative_zero(self, tmp_path, j):
+        out = tmp_path / "mps.csv"
+        assert main(["mps", "--grid-n", "101", "--J", j, "--out", str(out)]) == 0
+        cells = [row[2] for row in read_csv(out)[1]]
+        assert "-0" not in cells
+        if j == "0":
+            assert set(cells) == {"0"}
+
     def test_bad_grid_exits_2(self, capsys):
         assert main(["mps", "--grid-n", "1"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -63,6 +63,11 @@ class TestSearchSpace:
         with pytest.raises(DomainError):
             SearchSpace("separable", 1.5)
 
+    def test_rejects_nan_bias(self):
+        # accepted, the search would fail later with a misleading float-range error
+        with pytest.raises(DomainError, match="population bias"):
+            SearchSpace("entangled", float("nan"))
+
 
 class TestSampling:
     def test_fixed_seed_reproduces_first_vectors(self):

@@ -103,6 +103,12 @@ class TestEntangledInitial:
         with pytest.raises(DomainError):
             EntangledInitParams(-1.5, 0.0, 0.0)
 
+    def test_rejects_nan_bias(self):
+        with pytest.raises(DomainError):
+            EntangledInitParams(np.nan, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            EntangledInitParams(np.array([0.5, np.nan]), 0.0, 0.0)
+
 
 class TestRunProtocol:
     def test_decoupled_product_extracts_nothing(self):

@@ -96,6 +96,22 @@ class TestHermitianEig:
         with pytest.raises(HermiticityError):
             qmath.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_equals_one_matrix_at_a_time(self, dim):
+        rng = np.random.default_rng(12)
+        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        values, vectors = qmath.hermitian_eig(stack)
+        assert values.shape == (2, 3, dim) and vectors.shape == (2, 3, dim, dim)
+        for i in range(2):
+            for j in range(3):
+                single = qmath.hermitian_eig(stack[i, j])
+                assert np.array_equal(values[i, j], single.values)
+                assert np.array_equal(vectors[i, j], single.vectors)
+
+    def test_rejects_a_stack_of_wrong_dimension(self):
+        with pytest.raises(DimensionError):
+            qmath.hermitian_eig(np.zeros((5, 3, 3)))
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
@@ -122,6 +138,19 @@ class TestEvolve:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             qmath.evolve(SIGMA_Z, -0.1)
+
+    def test_stacks_and_times_equal_single_calls(self):
+        # a stack (3, 1, 4, 4) of generators against times (2,): unitaries (3, 2, 4, 4)
+        rng = np.random.default_rng(13)
+        generators = np.array([random_hermitian(rng, 4) for _ in range(3)])[:, None]
+        times = 10.0 * rng.random(2)
+        stacked = qmath.evolve(generators, times)
+        assert stacked.shape == (3, 2, 4, 4)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(stacked[i, j], qmath.evolve(generators[i, 0], times[j]))
+        with pytest.raises(DomainError):
+            qmath.evolve(generators, np.array([0.5, -0.1]))
 
     def test_rejects_non_hermitian_generator(self):
         with pytest.raises(HermiticityError):
