@@ -1,7 +1,9 @@
 """Single-qubit quantum battery: unitary vs. measurement-assisted extraction.
 
-Conventions used throughout: hbar = 1, |0> is the excited sigma_z eigenstate,
-energies are in units of the field strength h, times in units of 1/h.
+Conventions used throughout: hbar = 1, |0> is the excited sigma_z eigenstate.
+The library works in absolute units: energies and times are those of the
+HamiltonianSpec given. Only wp_closed_form and its t^4 coefficient wp_small_t
+return w_p per h; the command line reports energies in h and times in 1/h.
 """
 
 from .battery import (
@@ -16,7 +18,7 @@ from .battery import (
     passive_state,
 )
 from .errors import ConfigError, DimensionError, DomainError, HermiticityError
-from .optimizer import OptimizationReport, SearchSpace, optimize, sample_point
+from .optimizer import OptimizationReport, SearchSpace, optimize
 from .protocol import (
     EntangledInitParams,
     MeasurementBasis,
@@ -63,7 +65,6 @@ __all__ = [
     "optimize",
     "passive_state",
     "run_protocol",
-    "sample_point",
     "separable_initial",
     "wp_closed_form",
     "wp_excited_oracle",

@@ -1,9 +1,9 @@
 """Battery and auxiliary states, Hamiltonians, passive states, ergotropy.
 
 The battery and auxiliary are single qubits with local Hamiltonian h*sigma_z
-(h > 0), coupled by J*(sigma_x x sigma_x). Energies are reported in units of
-h and times in units of 1/h. The default coupling for the numerical regime
-is J = 2h.
+(h > 0), coupled by J*(sigma_x x sigma_x). Energies and times are absolute,
+in the units of h and J (the command line converts to units of h). The
+default coupling for the numerical regime is J = 2h.
 
 Passive states and ergotropy use the qubit closed forms on the Bloch
 vector r of the state: the passive state is (I - |r| n.sigma)/2 for the

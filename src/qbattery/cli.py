@@ -15,7 +15,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import analytic
 from .battery import HamiltonianSpec, battery_state, ergotropy
 from .errors import ConfigError, DomainError
 from .optimizer import SearchSpace, derive_seed, optimize
-from .verify import CLOSED_FORM_TOL, run_suites
+from .verify import run_suites
 
 DEFAULT_SEED = 123456789
 DEFAULT_BUDGET = 200_000
@@ -184,8 +184,8 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, closed_form_tol: float = CLOSED_FORM_TOL) -> int:
-    results = run_suites(cfg.spec(), cfg.seed, closed_form_tol)
+def cmd_verify(cfg: RunConfig) -> int:
+    results = run_suites(cfg.spec(), cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -241,65 +241,59 @@ plt.show()
     print(f"wrote plot script to {path}")
 
 
-_CONFIG_FIELDS = (
-    "h",
-    "J",
-    "k_min",
-    "k_max",
-    "k_points",
-    "budget",
-    "seed",
-    "t_max",
-    "threads",
-    "out",
-)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Flags over config file over defaults, for the RunConfig fields that
+    the subcommand reads (those its parser defines); any other key is an error."""
+    read = [f.name for f in fields(RunConfig) if hasattr(args, f.name)]
     cfg = RunConfig()
     if args.config is not None:
         with open(args.config, encoding="utf-8") as f:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        unknown = set(loaded) - set(_CONFIG_FIELDS)
+        unknown = set(loaded) - set(read)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         cfg = replace(cfg, **loaded)
-    overrides = {
-        name: getattr(args, name) for name in _CONFIG_FIELDS if getattr(args, name) is not None
-    }
+    overrides = {name: getattr(args, name) for name in read if getattr(args, name) is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--h", type=float, dest="h", default=None, help="field strength (default 1)")
-    common.add_argument("--J", type=float, dest="J", default=None, help="coupling (default 2h)")
-    common.add_argument("--k-min", type=float, dest="k_min", default=None)
-    common.add_argument("--k-max", type=float, dest="k_max", default=None)
-    common.add_argument("--k-points", type=int, dest="k_points", default=None)
-    common.add_argument("--budget", type=int, default=None, help="evaluations per grid point")
-    common.add_argument("--seed", type=int, default=None, help="64-bit run seed")
-    common.add_argument(
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--h", type=float, dest="h", default=None, help="field strength (default 1)")
+    model.add_argument("--J", type=float, dest="J", default=None, help="coupling (default 2h)")
+    model.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="64-bit run seed")
+    search = argparse.ArgumentParser(add_help=False, parents=[seed])
+    search.add_argument("--k-min", type=float, dest="k_min", default=None)
+    search.add_argument("--k-max", type=float, dest="k_max", default=None)
+    search.add_argument("--k-points", type=int, dest="k_points", default=None)
+    search.add_argument("--budget", type=int, default=None, help="evaluations per grid point")
+    search.add_argument(
         "--t-max", type=float, dest="t_max", default=None, help="time bound in 1/h (default 10)"
     )
-    common.add_argument("--threads", type=int, default=None, help="worker pool size")
-    common.add_argument("--out", type=str, default=None, help="output CSV path")
-    common.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
-    common.add_argument("--plot-script", type=str, default=None, help="also emit a plot script")
+    search.add_argument("--threads", type=int, default=None, help="worker pool size")
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("--out", type=str, default=None, help="output CSV path")
+    csv.add_argument("--plot-script", type=str, default=None, help="also emit a plot script")
 
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Quantum-battery energy extraction: unitary vs. measurement-assisted.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser("sweep", parents=[common], help="k-sweep of one extraction method")
+    sweep = sub.add_parser(
+        "sweep", parents=[model, search, csv], help="k-sweep of one extraction method"
+    )
     sweep.add_argument("family", choices=("unitary", "separable", "entangled"))
-    inset = sub.add_parser("inset", parents=[common], help="difference curves between methods")
+    inset = sub.add_parser(
+        "inset", parents=[model, search, csv], help="difference curves between methods"
+    )
     inset.add_argument("which", choices=("fig2", "fig3"))
-    sub.add_parser("verify", parents=[common], help="run the self-check suites")
-    mps = sub.add_parser("mps", parents=[common], help="measurement-passivity scan")
+    sub.add_parser("verify", parents=[model, seed], help="run the self-check suites")
+    mps = sub.add_parser("mps", parents=[model, csv], help="measurement-passivity scan")
     mps.add_argument("--grid-n", type=int, dest="grid_n", default=101)
     mps.add_argument(
         "--t-probe", type=float, dest="t_probe", default=None, help="probe time in 1/h (default 0.1)"

@@ -88,11 +88,6 @@ class SearchSpace:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(3), np.array([math.pi, 2.0 * math.pi, self.t_max])
 
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniform [0,1) draws (last axis = coordinates) uniformly into the box."""
-        lo, hi = self.bounds()
-        return lo + u * (hi - lo)
-
 
 @dataclass(frozen=True)
 class OptimizationReport:
@@ -125,14 +120,13 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def sample_point(space: SearchSpace, rng: np.random.Generator) -> np.ndarray:
-    """One parameter vector, uniform in the box."""
-    return space.transform(rng.random(space.n_params))
-
-
 def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n parameter vectors drawn as one (n, d) block from the stream."""
-    return space.transform(rng.random((n, space.n_params)))
+    """n parameter vectors drawn as one (n, d) block from the stream, uniform in the box."""
+    lo, hi = space.bounds()
+    # the draw is named so that it is freed after the result is allocated: the
+    # other order made optimize take about eight times the minor page faults
+    u = rng.random((n, space.n_params))
+    return lo + u * (hi - lo)
 
 
 class WpEvaluator:
@@ -247,33 +241,33 @@ def optimize(
     best = -math.inf
     best_x: np.ndarray | None = None
     trace: list[tuple[int, float]] = []
-    used = 0
     leaders: list[tuple[float, np.ndarray]] = []  # well-separated top points, best first
 
     n_explore = max(1, (4 * budget) // 5)
-    remaining = n_explore
-    while remaining > 0:
-        pts = sample_batch(space, rng, SAMPLE_CHUNK)
-        m = min(SAMPLE_CHUNK, remaining)
-        vals = evaluator(pts[:m])
-        cummax = np.maximum.accumulate(vals)
-        previous = np.concatenate(([best], cummax[:-1]))
-        for j in np.flatnonzero(vals > np.maximum(previous, best)):
+    # convergence is judged on exploration: did the trailing ceil(budget/5)
+    # samples, those after sample number cut, move the running best by >= 1e-2 h?
+    cut = max(n_explore - math.ceil(budget / 5), 1)
+    for used in range(0, n_explore, SAMPLE_CHUNK):
+        pts = sample_batch(space, rng, SAMPLE_CHUNK)[: n_explore - used]
+        vals = evaluator(pts)
+        running = np.maximum.accumulate(np.concatenate(([best], vals)))  # best before each sample
+        for j in np.flatnonzero(vals > running[:-1]):
             best = float(vals[j])
             best_x = pts[j].copy()
             trace.append((used + j + 1, best))
-        _update_leaderboard(leaders, pts[:m], vals, hi - lo)
-        used += m
-        remaining -= m
+        if used < cut <= used + len(vals):
+            baseline = float(running[cut - used])
+        _update_leaderboard(leaders, pts, vals, hi - lo)
 
     if best == -math.inf:
         raise DomainError(f"w_p is not finite at any of {n_explore} samples for h={spec.h}, "
                           f"J={spec.J}, t_max={space.t_max}: phases beyond the float range")
-    explore_best = best
+    converged = (best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
     # every leader zooms: the best exploration point need not sit in the
     # basin of the best optimum
     xs = np.array([x for _, x in leaders])
     fs = np.array([f for f, _ in leaders])
+    used = n_explore
     step_points = len(leaders) * len(_LATTICE)
     width = 0.125  # zoom width, as a fraction of each coordinate's span
     while width >= _ZOOM_STOP and used + step_points <= budget:
@@ -290,11 +284,6 @@ def optimize(
             trace.append((used, best))
         width /= 2.0
 
-    # convergence is judged on the random-sampling phase: did the trailing
-    # ceil(budget/5) random samples still move the running best by >= 1e-2 h?
-    window = math.ceil(budget / 5)
-    baseline = _running_best_at(trace, max(n_explore - window, 1))
-    converged = (explore_best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
     return OptimizationReport(
         best, best_x, evaluator.best_basis(best_x), used, converged, trace, seed
     )
@@ -321,7 +310,3 @@ def _update_leaderboard(leaders, pts, vals, span):
             continue
         leaders.sort(key=lambda pair: -pair[0])
         del leaders[_LEADERBOARD_SIZE:]
-
-
-def _running_best_at(trace, index):  # trace values rise, so the last one in reach is best
-    return max((v for i, v in trace if i <= index), default=-math.inf)

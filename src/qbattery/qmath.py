@@ -39,9 +39,9 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def is_hermitian(m, atol: float = HERMITICITY_ATOL) -> bool:
+def is_hermitian(m) -> bool:
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= atol)
+    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= HERMITICITY_ATOL)
 
 
 def kron(a, b) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -85,6 +86,53 @@ class TestConfigResolution:
                      str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestOptionsPerSubcommand:
+    """Each subcommand takes exactly the flags and config keys it reads."""
+
+    MODEL = {"--h", "--J", "--config"}
+    SEARCH = {"--seed", "--k-min", "--k-max", "--k-points", "--budget", "--t-max", "--threads"}
+    CSV = {"--out", "--plot-script"}
+
+    def test_option_table(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert options == {
+            "sweep": self.MODEL | self.SEARCH | self.CSV,
+            "inset": self.MODEL | self.SEARCH | self.CSV,
+            "verify": self.MODEL | {"--seed"},
+            "mps": self.MODEL | self.CSV | {"--grid-n", "--t-probe"},
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("verify", f) for f in ["--k-min", "--k-max", "--k-points", "--budget", "--t-max",
+                                 "--threads", "--out", "--plot-script"]]
+        + [("mps", f) for f in ["--k-min", "--k-max", "--k-points", "--budget", "--seed",
+                                "--t-max", "--threads"]],
+    )
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, key, value", [("mps", "budget", 5), ("verify", "out", "x.csv")]
+    )
+    def test_unread_config_key_exits_2(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
 
 
 class TestSweep:
@@ -182,10 +230,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_tampered_tolerance_fails(self, capsys):
+    def test_tampered_tolerance_fails(self, monkeypatch, capsys):
         # agreement between the closed form and the oracle is ~4e-16, so a
         # 1e-17 tolerance must trip the failure path
-        assert cmd_verify(RunConfig(), closed_form_tol=1e-17) == 1
+        monkeypatch.setattr(verify, "CLOSED_FORM_TOL", 1e-17)
+        assert cmd_verify(RunConfig()) == 1
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-oracle" in out
 
@@ -252,8 +301,7 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "run_protocol", nan_oracle)
         rng = np.random.default_rng(3)
-        args = (verify.CLOSED_FORM_TOL,) if suite == "closed_form" else ()
-        result = getattr(verify, f"suite_{suite}")(HamiltonianSpec(), rng, *args)
+        result = getattr(verify, f"suite_{suite}")(HamiltonianSpec(), rng)
         assert not result.passed
         assert math.isnan(result.residual)
 

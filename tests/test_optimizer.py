@@ -13,7 +13,6 @@ from qbattery.optimizer import (
     make_rng,
     optimize,
     sample_batch,
-    sample_point,
 )
 from qbattery.protocol import (
     EntangledInitParams,
@@ -72,9 +71,9 @@ class TestSearchSpace:
 class TestSampling:
     def test_fixed_seed_reproduces_first_vectors(self):
         space = SearchSpace("separable", 0.2)
-        first = [sample_point(space, make_rng(31)) for _ in range(10)]
-        second = [sample_point(space, make_rng(31)) for _ in range(10)]
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+        first = sample_batch(space, make_rng(31), 10)
+        second = sample_batch(space, make_rng(31), 10)
+        assert np.array_equal(first, second)
 
     def test_batches_stay_inside_bounds(self):
         for family in ("separable", "entangled"):
