@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import numbers
 import os
 import sys
@@ -31,6 +32,10 @@ DEFAULT_BUDGET = 200_000
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
+
+# a search needs phases that resolve: one ulp of Omega t_max must stay below this
+MAX_PHASE_ULP = 1e-6  # rad
+SEARCH_ONLY = ("budget", "t_max", "threads")  # RunConfig fields that only a search reads
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,11 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
     if family not in ("separable", "entangled"):
         raise ConfigError(f"unknown sweep family {family!r}")
     t_max = cfg.t_max / spec.h
+    phase = spec.omega * t_max
+    if math.ulp(phase) > MAX_PHASE_ULP:
+        raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
+                          f"{MAX_PHASE_ULP:g} rad per ulp of t for h={spec.h}, J={spec.J}, "
+                          f"t_max={cfg.t_max} (in 1/h): shorten t_max or reduce J/h")
     tasks = [
         (family, float(k), spec.h, spec.J, t_max, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
@@ -243,8 +253,17 @@ plt.show()
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Flags over config file over defaults, for the RunConfig fields that
-    the subcommand reads (those its parser defines); any other key is an error."""
+    the subcommand reads (those its parser defines, less SEARCH_ONLY for
+    ``sweep unitary``); any other flag or key is an error."""
     read = [f.name for f in fields(RunConfig) if hasattr(args, f.name)]
+    command = args.command
+    if getattr(args, "family", None) == "unitary":  # shares the sweep parser but searches nothing
+        command = "sweep unitary"
+        given = [f"--{name.replace('_', '-')}" for name in SEARCH_ONLY
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"sweep unitary does not read {', '.join(given)}")
+        read = [name for name in read if name not in SEARCH_ONLY]
     cfg = RunConfig()
     if args.config is not None:
         with open(args.config, encoding="utf-8") as f:
@@ -253,7 +272,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(read)
         if unknown:
-            raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
         cfg = replace(cfg, **loaded)
     overrides = {name: getattr(args, name) for name in read if getattr(args, name) is not None}
     return replace(cfg, **overrides) if overrides else cfg

@@ -6,7 +6,9 @@ ket chi of every auxiliary basis scores w_p = <chi|A|chi>, with
     A_ab = sum_i c_i rho_t[(i,a),(i,b)],   c = (E0 - h, E0 + h),
 
 so the best basis and outcome give the top eigenvalue of the 2x2 matrix A,
-and the winning basis is its top eigenvector. For a product initial state A
+and the winning basis is its top eigenvector. WpEvaluator evaluates that
+eigenvalue in closed form; its ``best_basis`` reads A from the oracle state
+through protocol.outcome_matrix. For a product initial state A
 is affine in the auxiliary Bloch vector, so lambda_max(A) is convex in it
 and peaks on the Bloch sphere: the auxiliary is pure (r = 1). Both families
 therefore search (polar, azimuth, t) in [0, pi] x [0, 2 pi) x [0, t_max].
@@ -27,16 +29,17 @@ evaluated in any partition without changing the sampled points.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .battery import HamiltonianSpec, check_population_bias
+from .battery import BlochVector, HamiltonianSpec, check_population_bias
 from .errors import ConfigError, DomainError
-from .protocol import MeasurementBasis, parity_blocks
+from .protocol import (
+    EntangledInitParams, MeasurementBasis, entangled_initial, outcome_matrix, separable_initial
+)
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
@@ -123,93 +126,130 @@ def derive_seed(seed: int, index: int) -> int:
 def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.ndarray:
     """n parameter vectors drawn as one (n, d) block from the stream, uniform in the box."""
     lo, hi = space.bounds()
-    # the draw is named so that it is freed after the result is allocated: the
-    # other order made optimize take about eight times the minor page faults
     u = rng.random((n, space.n_params))
-    return lo + u * (hi - lo)
+    u *= hi - lo  # scaled in place: lo is 0, so this is lo + u (hi - lo) bit for bit
+    return u
+
+
+def _sin_cos(x):
+    """sin(x) and cos(x) from u = tan(x/2), as 2u/(1 + u^2) and (1 - u^2)/(1 + u^2):
+    one tangent instead of two scalar-loop calls, since numpy vectorises tan
+    but not sin or cos on x86 (2.4 against 12 ns a point with AVX-512). Both
+    are within a few ulp, tan(x/2) is finite for every finite x (so 1 + u^2
+    cannot overflow), and a non-finite x gives NaN."""
+    u = np.tan(0.5 * x)
+    d = 2.0 / (1.0 + u * u)
+    return u * d, d - 1.0
 
 
 class WpEvaluator:
     """Vectorized w_p for batches of parameter vectors, maximized in closed
-    form over the auxiliary measurement basis and its outcome.
+    form over the auxiliary measurement basis and its outcome: the value is
+    lambda_max(A), with A as in the module docstring.
 
-    The initial state is held as kets: a mixture of two for the separable
-    family (sqrt(p_i) |i, aux> for battery level i, since the auxiliary is
-    pure) and one for the entangled family. Each ket evolves elementwise
-    under the parity-block rotations of protocol.parity_blocks (no matrix
-    product, no eigendecomposition), A is read off the evolved amplitudes,
-    and the value is lambda_max(A). Uses w_p = (E0 - h) M00 + (E0 + h) M11,
-    with M the unnormalized post-measurement battery operator and E0 = h*k,
-    so no branch divides by its probability. Equals protocol.best_outcome at
-    the basis ``best_basis`` returns, and is at least its value at any other.
-    A point whose phases leave the floating-point range reads -inf.
+    The kernel is real arithmetic in units of h. With tau = h t, g = J/h and
+    W = Omega/h, it reads the phases W tau = Omega t and g tau = J t as
+    protocol.parity_blocks forms them (so a value is finite exactly where the
+    oracle is), the amplitudes g/W = J/Omega and 2/W = 2h/Omega (at most 1 at
+    any scale of h and J) and the energies c/h = (k - 1, k + 1), and it
+    multiplies the result by h once at the end. Sines and cosines come from
+    half-angle tangents (_sin_cos): three a point for the separable family,
+    four for the entangled one. With c = cos(theta) and s = sin(theta):
 
-    The separable value does not depend on phi_aux. U conserves Z x Z parity,
-    so U|j, a> lives on (j, a) and (1-j, 1-a): each evolved amplitude carries
-    one phase, 1 or e^{i phi}, which A00 and A11 do not see. The e^{-i phi}
-    part of A01 pairs U|j,0> and U|j,1> on level j; it is cos sin U[00,00]
-    conj(U[01,01]) sum_j c_j p_j (the same product for j = 1), and
-    sum_j c_j p_j = E0 - Tr(rho_b h sigma_z) = 0. Only the best basis turns with phi.
+    * Separable: with q = (g/W)^2 sin^2(W tau) and r = sin^2(g tau),
+          w/h = [c (q - r) + k (q + r)]/2
+                + |k| sqrt([k (q - r) + c (q + r)]^2 + 4 s^2 q r)/2.
+      phi_aux drops out exactly. U conserves Z x Z parity, so U|j, a> lives
+      on (j, a) and (1-j, 1-a) and each evolved amplitude carries one phase,
+      1 or e^{i phi}, which A00 and A11 do not see; the e^{-i phi} part of
+      A01 carries sum_j c_j p_j = E0 - Tr(rho_b h sigma_z) = 0. Only the
+      best basis turns with phi.
+    * Entangled: the evolved state is pure, so A = c0 u u^dag + c1 v v^dag
+      for its level-0 and level-1 auxiliary parts u and v (|u|^2 + |v|^2 = 1).
+      Then Tr A / h = 2T with T = (1 + k)/2 - |u|^2, and det A / h^2 =
+      -(1 - k^2) |Delta|^2 with Delta = u0 v1 - u1 v0, so
+          w/h = T + sqrt(T^2 + (1 - k^2) |Delta|^2).
+      With kappa = sqrt(1 - k^2), C, S = (1 +- c)/2, x = (2/W) sin(W tau),
+      y = (g/W) sin(W tau), G = cos(W tau) sin(phi) - x cos(phi) and
+      M = cos(W tau) cos(phi) + x sin(phi), the parts are
+          X = C y^2 + S sin^2(g tau),   Y = C y G + S sin(g tau) cos(g tau) sin(phi),
+          T = k X - kappa Y,   Re Delta = k Y + kappa X - kappa/2,
+          Im Delta = S sin(g tau) cos(g tau) cos(phi) - C y M.
+      No angle is doubled, so nothing overflows before g tau does.
+
+    Equals protocol.best_outcome at the basis ``best_basis`` returns, and is
+    at least its value at any other. A point whose phases leave the
+    floating-point range reads -inf.
     """
 
     def __init__(self, space: SearchSpace, spec: HamiltonianSpec):
         self.space = space
         self.spec = spec
-        # battery marginal is diag(p0, p1) in both families
-        self._sqrt_p = np.sqrt([(1.0 + space.k) / 2.0, (1.0 - space.k) / 2.0])
-        e0 = spec.h * space.k
-        self._c = np.array([e0 - spec.h, e0 + spec.h])
+        self._kappa = math.sqrt((1.0 - space.k) * (1.0 + space.k))
+        self._flip, self._tilt = spec.J / spec.omega, 2.0 * spec.h / spec.omega  # g/W, 2/W
 
     def __call__(self, params) -> np.ndarray:
         p = np.atleast_2d(np.asarray(params, dtype=float))
+        if p.shape[1] != self.space.n_params:
+            raise ConfigError(f"expected {self.space.n_params} parameters, got {p.shape[1]}")
         blocks = range(0, len(p) or 1, _BLOCK)  # an empty batch is one empty block
         return np.concatenate([self._values(p[i : i + _BLOCK]) for i in blocks])
 
     def _values(self, p):
+        theta, phi, t = np.ascontiguousarray(p.T)  # contiguous columns: faster ufuncs
         with np.errstate(over="ignore", invalid="ignore"):
-            a00, a11, a01 = self._outcome_matrix(p)
-            w = (a00 + a11) / 2.0 + np.hypot((a00 - a11) / 2.0, np.abs(a01))
-        w[~np.isfinite(w)] = -math.inf  # phases past the float range: ranked below every value
-        return w
+            sin_w, cos_w = _sin_cos(self.spec.omega * t)
+            sin_j, cos_j = _sin_cos(self.spec.J * t)
+            c = _sin_cos(theta)[1]
+            if self.space.family == SEPARABLE:
+                value = self._separable(c, sin_w, sin_j)
+            else:
+                value = self._entangled(c, *_sin_cos(phi), sin_w, cos_w, sin_j, cos_j)
+            value *= self.spec.h
+        value[~np.isfinite(value)] = -math.inf  # phases past the float range rank below all
+        return value
+
+    def _separable(self, c, sin_w, sin_j):
+        k = self.space.k
+        q = self._flip * sin_w
+        q *= q
+        r = sin_j * sin_j
+        # c (q - r) + k (q + r) = mq - nr and k (q - r) + c (q + r) = mq + nr
+        mq, nr = (c + k) * q, (c - k) * r
+        root = (mq + nr) ** 2 + 4.0 * ((1.0 - c) * (1.0 + c)) * (q * r)
+        return 0.5 * (mq - nr) + (0.5 * abs(k)) * np.sqrt(root)
+
+    def _entangled(self, c, sin_p, cos_p, sin_w, cos_w, sin_j, cos_j):
+        k, kappa = self.space.k, self._kappa
+        up = 0.5 + 0.5 * c
+        down = 1.0 - up  # C and S
+        y = self._flip * sin_w
+        # C y G = sin(phi) alpha - cos(phi) gamma and C y M = cos(phi) alpha + sin(phi) gamma
+        alpha, gamma = up * (y * cos_w), up * (y * (self._tilt * sin_w))
+        beta = down * (sin_j * cos_j)
+        big_x = up * (y * y) + down * (sin_j * sin_j)
+        big_y = sin_p * (alpha + beta) - cos_p * gamma
+        im = cos_p * (beta - alpha) - sin_p * gamma
+        trace = k * big_x - kappa * big_y
+        re = k * big_y + kappa * big_x - 0.5 * kappa
+        return trace + np.sqrt(trace * trace + (kappa * kappa) * (re * re + im * im))
 
     def best_basis(self, params) -> MeasurementBasis:
         """Basis whose outcome 0 is the top eigenvector of A at one parameter
-        vector; theta = phi = 0 when A is a multiple of the identity."""
-        (a00,), (a11,), (a01,) = self._outcome_matrix(params)
-        if a01 == 0 and a00 == a11:  # every basis ties
-            return MeasurementBasis(0.0, 0.0)
-        theta = math.atan2(abs(a01), (a00 - a11) / 2.0)
-        return MeasurementBasis(theta, cmath.phase(a01) % (2.0 * math.pi))
-
-    def _outcome_matrix(self, params):
-        """Entries A00, A11 (real) and A01 (complex) of A, one per vector."""
-        p = np.atleast_2d(np.asarray(params, dtype=float))
-        if p.shape[1] != self.space.n_params:
-            raise ConfigError(f"expected {self.space.n_params} parameters, got {p.shape[1]}")
-        theta, phi, t = np.ascontiguousarray(p.T)  # contiguous columns: faster ufuncs
-        cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        s0, s1 = self._sqrt_p
-        d, o, c, s = parity_blocks(self.spec, t)
+        vector, with A read from the oracle state U rho0 U^dag by
+        protocol.outcome_matrix; theta = phi = 0 when A is a multiple of the
+        identity."""
+        theta, phi, t = params
         if self.space.family == SEPARABLE:
-            # U sqrt(p_i)|i, aux> for aux = (cos, e^{i phi} sin), as in bloch_state;
-            # the two kets add incoherently and are read off one at a time
-            u0, v0, aux_1 = s0 * cos, s1 * cos, np.exp(1j * phi) * sin
-            u1, v1 = s0 * aux_1, s1 * aux_1
-            first = self._read_off(u0 * d, u1 * c, u1 * s, u0 * o)
-            second = self._read_off(v1 * o, v0 * s, v0 * c, v1 * d.conj())
-            return tuple(x + y for x, y in zip(first, second))
-        # sqrt(p0)|0,chi> + sqrt(p1)|1,chi_perp>, as in protocol.entangled_ket
-        w = np.exp(-1j * phi)
-        k0, k1, k2, k3 = s0 * cos, s0 * w * sin, s1 * sin, -s1 * w * cos
-        ket = (d * k0 + o * k3, c * k1 + s * k2, s * k1 + c * k2, o * k0 + d.conj() * k3)
-        return self._read_off(*ket)
-
-    def _read_off(self, k0, k1, k2, k3):
-        """A00, A11, A01 of one ket on |00>, |01>, |10>, |11> (levels i, a)."""
-        c0, c1 = self._c
-        a00 = c0 * (k0.real**2 + k0.imag**2) + c1 * (k2.real**2 + k2.imag**2)
-        a11 = c0 * (k1.real**2 + k1.imag**2) + c1 * (k3.real**2 + k3.imag**2)
-        return a00, a11, c0 * k0 * k1.conj() + c1 * k2 * k3.conj()
+            rho0 = separable_initial(self.space.k, BlochVector(1.0, theta, phi))
+        else:
+            rho0 = entangled_initial(EntangledInitParams(self.space.k, theta, phi))
+        a = outcome_matrix(rho0, self.spec, t)
+        half_gap, re, im = (a[0, 0].real - a[1, 1].real) / 2.0, a[0, 1].real, a[0, 1].imag
+        if re == im == half_gap == 0.0:  # every basis ties
+            return MeasurementBasis(0.0, 0.0)
+        polar = math.atan2(math.hypot(re, im), half_gap)
+        return MeasurementBasis(polar, math.atan2(im, re) % (2.0 * math.pi))
 
 
 def optimize(
@@ -295,7 +335,9 @@ _LEADERBOARD_SEPARATION = 0.08  # of each coordinate's span, Chebyshev
 
 def _update_leaderboard(leaders, pts, vals, span):
     """Keep the best few points that are mutually separated in the box."""
-    for j in np.argsort(vals)[::-1][: 4 * _LEADERBOARD_SIZE]:
+    first = max(len(vals) - 4 * _LEADERBOARD_SIZE, 0)
+    top = np.argpartition(vals, first)[first:]  # the 4 * size best, unordered
+    for j in top[np.argsort(vals[top])[::-1]]:
         value = float(vals[j])
         if len(leaders) == _LEADERBOARD_SIZE and value <= leaders[-1][0]:
             break

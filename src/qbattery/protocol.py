@@ -17,7 +17,10 @@ initial state may be a stack (..., 4, 4), and the time, the basis angles
 and the outcome index may be arrays, all broadcasting against each other.
 One state with scalar parameters is the stack-of-one case of the same code
 and returns plain floats. The state builders (separable_initial,
-entangled_initial) take arrays of parameters the same way.
+entangled_initial) take arrays of parameters the same way. outcome_matrix
+reads from the same evolved state the 2x2 matrix A whose quadratic form in
+the outcome ket is w_p; the optimizer's closed form for lambda_max(A) is
+checked against it.
 """
 
 from __future__ import annotations
@@ -175,6 +178,23 @@ def best_outcome(rho0, spec: HamiltonianSpec, t, basis: MeasurementBasis) -> Pro
     first = run_protocol(rho0, spec, t, basis, 0)
     second = run_protocol(rho0, spec, t, basis, 1)
     return run_protocol(rho0, spec, t, basis, np.where(second.w_p > first.w_p, 1, 0))
+
+
+def outcome_matrix(rho0, spec: HamiltonianSpec, t) -> np.ndarray:
+    """The 2x2 matrix A with run_protocol's w_p = <chi|A|chi> for every
+    auxiliary ket chi (above the ZERO_PROBABILITY rule):
+
+        A_ab = sum_i c_i rho_t[(i,a),(i,b)],   c = (E0 - h, E0 + h),
+
+    with rho_t = U rho0 U^dag and E0 the t=0 battery energy. Stacked like
+    run_protocol: one (2, 2) matrix per element of the broadcast shape.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    u = joint_unitary(spec, t)
+    rho_t = u @ rho0 @ np.conj(np.swapaxes(u, -1, -2))
+    e0 = np.asarray(energy(qmath.partial_trace_second(rho0), spec))
+    c = np.stack([e0 - spec.h, e0 + spec.h], axis=-1)
+    return np.einsum("...i,...iaib->...ab", c, rho_t.reshape(rho_t.shape[:-2] + (2, 2, 2, 2)))
 
 
 def parity_blocks(spec: HamiltonianSpec, t):

@@ -61,7 +61,7 @@ class TestConfigResolution:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"k_points": 9, "budget": 555}))
         args = build_parser().parse_args(
-            ["sweep", "unitary", "--config", str(config), "--k-points", "3"]
+            ["sweep", "separable", "--config", str(config), "--k-points", "3"]
         )
         cfg = resolve_config(args)
         assert cfg.k_points == 3  # flag wins
@@ -134,6 +134,23 @@ class TestOptionsPerSubcommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--budget", "--t-max", "--threads"])
+    def test_unitary_sweep_rejects_search_flags(self, tmp_path, capsys, flag):
+        out = tmp_path / "u.csv"
+        assert main(["sweep", "unitary", "--k-points", "3", flag, "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep unitary does not read") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["budget", "t_max", "threads"])
+    def test_unitary_sweep_rejects_search_config_keys(self, tmp_path, capsys, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 7}))
+        assert main(["sweep", "unitary", "--config", str(config), "--out",
+                     str(tmp_path / "u.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys for sweep unitary") and repr(key) in err
+
 
 class TestSweep:
     def test_unitary_values_follow_the_closed_form(self, tmp_path):
@@ -179,15 +196,25 @@ class TestSweep:
             value = float(row[1])
             assert np.isfinite(value) and -2.0 <= value <= 2.0
 
-    def test_non_finite_values_exit_2_naming_the_scales(self, tmp_path, capsys):
-        # every phase J t of the search is past the float range, so every w_p is NaN
+    @pytest.mark.parametrize("command", [["sweep", "separable"], ["sweep", "entangled"],
+                                         ["inset", "fig2"], ["inset", "fig3"]])
+    @pytest.mark.parametrize("j", ["1e308", "1e10"])
+    def test_unresolved_phases_exit_2_naming_the_scales(self, tmp_path, capsys, command, j):
+        # at J = 1e308 the phases J t leave the float range for t > 1.8; at J = 1e10
+        # they stay finite, but one ulp of t moves Omega t_max by about 1.5e-5 rad
         out = tmp_path / "s.csv"
-        assert main(["sweep", "separable", "--J", "1e308", "--k-points", "2", "--budget", "10",
+        assert main([*command, "--J", j, "--k-points", "2", "--budget", "3000",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: w_p is not finite") and "Traceback" not in err
-        assert "h=1.0, J=1e+308, t_max=10.0" in err
+        assert err.startswith("error: the phase Omega*t_max") and "Traceback" not in err
+        assert f"h=1.0, J={float(j)!r}, t_max=10.0" in err
         assert not out.exists()
+
+    def test_phases_that_resolve_pass_the_check(self, tmp_path):
+        # Omega t_max = 4e9 rad: one ulp is 4.8e-7 rad, below the bound
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "separable", "--J", "4e8", "--k-points", "2", "--budget", "100",
+                     "--out", str(out)]) == 0
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"

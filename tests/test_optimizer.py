@@ -19,6 +19,7 @@ from qbattery.protocol import (
     MeasurementBasis,
     best_outcome,
     entangled_initial,
+    outcome_matrix,
     separable_initial,
 )
 
@@ -133,16 +134,63 @@ class TestEvaluatorMatchesProtocol:
     @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.3), (1.0, 5.0), (2.0, 1.0),
                                       (1.0, 0.0), (1.0, -2.0)])
     def test_separable_value_ignores_the_auxiliary_azimuth(self, h, j):
-        # the e^{-i phi} part of A01 carries sum_i c_i p_i = 0 (see WpEvaluator)
+        # the e^{-i phi} part of A01 carries sum_i c_i p_i = 0 (see WpEvaluator),
+        # and the closed form does not read phi at all
         rng = np.random.default_rng(31)
         theta, t = np.pi * rng.random(200), 10.0 / h * rng.random(200)
         phis = 2.0 * np.pi * rng.random(8)
         for k in np.linspace(-1.0, 1.0, 21):
             evaluator = WpEvaluator(SearchSpace("separable", k, t_max=10.0 / h),
                                     HamiltonianSpec(h, j))
-            values = np.array([evaluator(np.column_stack([theta, np.full(200, phi), t]))
-                               for phi in phis])
-            assert np.max(np.ptp(values, axis=0)) <= 1e-14 * h
+            values = [evaluator(np.column_stack([theta, np.full(200, phi), t])) for phi in phis]
+            assert all(np.array_equal(values[0], v) for v in values[1:])
+
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0), (0.5, -3.0),
+                                      (1e200, 2e200), (1e-200, 2e-200)])
+    @pytest.mark.parametrize("k", [-1.0, -0.6, 0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_closed_form_is_lambda_max_of_the_oracle_matrix(self, family, k, h, j):
+        # A read from the oracle state U rho0 U^dag, at random points and at the poles
+        spec = HamiltonianSpec(h, j)
+        rng = np.random.default_rng(11)
+        pts = rng.random((300, 3)) * [np.pi, 2.0 * np.pi, 10.0 / h]
+        pts[:100:2, 0], pts[1:100:2, 0] = 0.0, np.pi
+        theta, phi, t = pts.T
+        if family == "separable":
+            rho0 = separable_initial(k, BlochVector(1.0, theta, phi))
+        else:
+            rho0 = entangled_initial(EntangledInitParams(k, theta, phi))
+        oracle = np.linalg.eigvalsh(outcome_matrix(rho0, spec, t))[:, -1]
+        got = WpEvaluator(SearchSpace(family, k, t_max=10.0 / h), spec)(pts)
+        assert np.max(np.abs(got - oracle)) <= 1e-13 * h
+
+    @pytest.mark.parametrize("family", ["separable", "entangled"])
+    def test_overflowing_phases_read_minus_inf_where_the_oracle_is_not_finite(self, family):
+        # J t leaves the float range for t > 1.8: the oracle's U is NaN there
+        spec = HamiltonianSpec(1.0, 1e308)
+        pts = np.random.default_rng(12).random((400, 3)) * [np.pi, 2.0 * np.pi, 10.0]
+        theta, phi, t = pts.T
+        if family == "separable":
+            rho0 = separable_initial(0.3, BlochVector(1.0, theta, phi))
+        else:
+            rho0 = entangled_initial(EntangledInitParams(0.3, theta, phi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(outcome_matrix(rho0, spec, t)).all(axis=(-2, -1))
+        got = WpEvaluator(SearchSpace(family, 0.3), spec)(pts)
+        assert 0 < finite.sum() < len(pts)
+        assert np.array_equal(got == -np.inf, ~finite)
+        assert np.all(np.isfinite(got[finite]))
+
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.3), (2.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("k", [-0.975, -0.5, 0.0, 0.4, 1.0])
+    def test_separable_ground_auxiliary_beats_the_reference_protocol(self, k, h, j):
+        # theta_aux = pi is the reference protocol's auxiliary, and the kernel
+        # maximizes over the measurement the reference fixes to sigma_z
+        spec = HamiltonianSpec(h, j)
+        t = np.linspace(0.0, 10.0 / h, 2001)
+        pts = np.column_stack([np.full_like(t, np.pi), np.zeros_like(t), t])
+        got = WpEvaluator(SearchSpace("separable", k, t_max=10.0 / h), spec)(pts)
+        assert np.all(got >= h * wp_closed_form(abs(k), 0.0, spec, t) - 1e-15 * h)
 
     @pytest.mark.parametrize("family", ["separable", "entangled"])
     def test_values_do_not_depend_on_the_batch_partition(self, family):

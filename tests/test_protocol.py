@@ -13,6 +13,7 @@ from qbattery.protocol import (
     entangled_initial,
     entangled_ket,
     joint_unitary,
+    outcome_matrix,
     run_protocol,
     separable_initial,
 )
@@ -237,6 +238,31 @@ class TestBestOutcome:
             w = best_outcome(rho0, SPEC, t, basis).w_p
             for outcome in (0, 1):
                 assert w >= run_protocol(rho0, SPEC, t, basis, outcome).w_p - 1e-15
+
+
+class TestOutcomeMatrix:
+    @pytest.mark.parametrize("spec", [SPEC, HamiltonianSpec(0.5, -3.0), DECOUPLED])
+    def test_quadratic_form_is_the_oracle_w_p(self, spec):
+        # w_p = <chi|A|chi> for both outcome kets of a stack of states, times and bases
+        rng = np.random.default_rng(41)
+        n = 200
+        k = 2.0 * rng.random(n) - 1.0
+        polar, azimuth = np.pi * rng.random(n), 2.0 * np.pi * rng.random(n)
+        rho0 = np.concatenate([
+            separable_initial(k[:100], BlochVector(rng.random(100), polar[:100], azimuth[:100])),
+            entangled_initial(EntangledInitParams(k[100:], polar[100:], azimuth[100:])),
+        ])
+        t = 10.0 * rng.random(n)
+        basis = MeasurementBasis(np.pi * rng.random(n), 2.0 * np.pi * rng.random(n))
+        a = outcome_matrix(rho0, spec, t)
+        assert a.shape == (n, 2, 2)
+        for outcome in (0, 1):
+            chi = basis.outcome_ket(outcome)
+            form = np.einsum("na,nab,nb->n", chi.conj(), a, chi)
+            result = run_protocol(rho0, spec, t, basis, outcome)
+            possible = result.probability >= 1e-12
+            assert np.max(np.abs(form.imag)) < 1e-15
+            assert np.max(np.abs(form.real - result.w_p)[possible]) < 1e-14
 
 
 class TestJointUnitary:
