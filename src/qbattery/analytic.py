@@ -61,9 +61,11 @@ def wp_small_t(s, theta, spec: HamiltonianSpec):
 
     -8 (4 h^4 J^2 + h^2 J^4) (-1 + s^2 cos^2 theta) / (12 (4h^2 + J^2)),
     which is -(2/3) h^2 J^2 (-1 + s^2 cos^2 theta): the factor 4h^2 + J^2
-    cancels. s and theta may be arrays that broadcast.
+    cancels. s and theta may be arrays that broadcast. (hJ)^2 is a product,
+    not a power, so it overflows to inf instead of raising OverflowError.
     """
-    return -2.0 / 3.0 * (spec.h * spec.J) ** 2 * (-1.0 + s * s * np.cos(theta) ** 2)
+    hj = spec.h * spec.J
+    return -2.0 / 3.0 * (hj * hj) * (-1.0 + s * s * np.cos(theta) ** 2)
 
 
 def wp_excited_oracle(spec: HamiltonianSpec, t):

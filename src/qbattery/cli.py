@@ -23,7 +23,7 @@ import numpy as np
 from . import analytic
 from .battery import HamiltonianSpec, battery_state, ergotropy
 from .errors import ConfigError, DomainError
-from .optimizer import SearchSpace, derive_seed, optimize
+from .optimizer import FAMILIES, SearchSpace, derive_seed, optimize
 from .verify import run_suites
 
 DEFAULT_SEED = 123456789
@@ -81,9 +81,6 @@ class RunConfig:
     def k_grid(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.k_points)
 
-    def worker_count(self) -> int:
-        return self.threads if self.threads is not None else (os.cpu_count() or 1)
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -104,47 +101,48 @@ def _write_csv(path: str, header: str, rows) -> None:
             f.write(",".join(row) + "\n")
 
 
+def _resolved_window(spec: HamiltonianSpec, t_max: float) -> float:
+    """The time window t_max (in 1/h) in absolute units, once the phase
+    Omega*t_max is known to resolve: one ulp of it must stay below MAX_PHASE_ULP."""
+    window = t_max / spec.h
+    phase = spec.omega * window
+    if math.ulp(phase) > MAX_PHASE_ULP:
+        raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
+                          f"{MAX_PHASE_ULP:g} rad per ulp of t for h={spec.h}, J={spec.J}, "
+                          f"t_max={t_max} (in 1/h): shorten t_max or reduce J/h")
+    return window
+
+
 def _optimize_task(task) -> tuple[float, bool, int]:
-    family, k, h, j, t_max, budget, point_seed = task
-    report = optimize(
-        SearchSpace(family=family, k=float(k), t_max=t_max),
-        HamiltonianSpec(h, j),
-        budget,
-        point_seed,
-    )
+    report = optimize(*task)  # through the module global, so it can be swapped for a wrapper
     return report.best_value, report.converged, report.samples_used
 
 
 def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, int, int]]:
     """(k, value, converged, samples, seed) per grid point, in k order; values
-    in units of h."""
+    in units of h. The rows run in a pool of at most ``threads`` processes
+    (default and cap: the CPUs this process may run on)."""
     ks = cfg.k_grid()
     spec = cfg.spec()
     if family == "unitary":
         return [
             (float(k), ergotropy(battery_state(k), spec) / spec.h, True, 0, cfg.seed) for k in ks
         ]
-    if family not in ("separable", "entangled"):
-        raise ConfigError(f"unknown sweep family {family!r}")
-    t_max = cfg.t_max / spec.h
-    phase = spec.omega * t_max
-    if math.ulp(phase) > MAX_PHASE_ULP:
-        raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
-                          f"{MAX_PHASE_ULP:g} rad per ulp of t for h={spec.h}, J={spec.J}, "
-                          f"t_max={cfg.t_max} (in 1/h): shorten t_max or reduce J/h")
+    t_max = _resolved_window(spec, cfg.t_max)
     tasks = [
-        (family, float(k), spec.h, spec.J, t_max, cfg.budget, derive_seed(cfg.seed, i))
+        (SearchSpace(family, float(k), t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
     ]
-    workers = min(cfg.worker_count(), len(tasks))
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cfg.threads or cpus, cpus, len(tasks))
     if workers <= 1:
         results = [_optimize_task(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_optimize_task, tasks))
     return [
-        (task[1], value / spec.h, converged, samples, task[6])
-        for task, (value, converged, samples) in zip(tasks, results)
+        (space.k, value / spec.h, converged, samples, seed)
+        for (space, _, _, seed), (value, converged, samples) in zip(tasks, results)
     ]
 
 
@@ -195,7 +193,9 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    results = run_suites(cfg.spec(), cfg.seed)
+    spec = cfg.spec()
+    _resolved_window(spec, 10.0)  # the suites draw times in [0, 10/h]
+    results = run_suites(spec, cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", parents=[model, search, csv], help="k-sweep of one extraction method"
     )
-    sweep.add_argument("family", choices=("unitary", "separable", "entangled"))
+    sweep.add_argument("family", choices=("unitary", *FAMILIES))
     inset = sub.add_parser(
         "inset", parents=[model, search, csv], help="difference curves between methods"
     )
@@ -333,7 +333,8 @@ def main(argv=None) -> int:
         if args.command == "mps":
             return cmd_mps(cfg, args.grid_n, args.t_probe, args.plot_script)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DomainError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, MemoryError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

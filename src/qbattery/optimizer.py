@@ -43,11 +43,7 @@ from .protocol import (
 
 SEPARABLE = "separable"
 ENTANGLED = "entangled"
-
-_NAMES = {
-    SEPARABLE: ("theta_aux", "phi_aux", "t"),
-    ENTANGLED: ("theta_schmidt", "phi_schmidt", "t"),
-}
+FAMILIES = (SEPARABLE, ENTANGLED)
 
 SAMPLE_CHUNK = 8192  # full chunks are always drawn, so sample i never depends on the budget
 CONVERGENCE_WINDOW_TOL = 1e-2  # units of h, over the trailing budget/5 evaluations
@@ -64,9 +60,9 @@ class SearchSpace:
     ``separable`` searches the pure auxiliary state and the time,
     (theta_aux, phi_aux, t); ``entangled`` searches the orientation of the
     auxiliary Schmidt basis and the time, (theta_schmidt, phi_schmidt, t).
-    Polar angles range over [0, pi], azimuths over [0, 2 pi) and times over
-    [0, t_max]. The measurement basis is no coordinate: WpEvaluator
-    maximizes over it in closed form.
+    The box is [0, span] per coordinate: polar angles over [0, pi],
+    azimuths over [0, 2 pi) and times over [0, t_max]. The measurement
+    basis is no coordinate: WpEvaluator maximizes over it in closed form.
     """
 
     family: str
@@ -74,29 +70,23 @@ class SearchSpace:
     t_max: float = 10.0
 
     def __post_init__(self):
-        if self.family not in _NAMES:
+        if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         check_population_bias(self.k)
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
 
     @property
-    def n_params(self) -> int:
-        return len(_NAMES[self.family])
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return _NAMES[self.family]
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(3), np.array([math.pi, 2.0 * math.pi, self.t_max])
+    def span(self) -> np.ndarray:
+        """Upper corner of the box; the lower corner is the origin."""
+        return np.array([math.pi, 2.0 * math.pi, self.t_max])
 
 
 @dataclass(frozen=True)
 class OptimizationReport:
     """Outcome of one seeded search.
 
-    ``best_params`` follows ``SearchSpace.param_names``; ``best_basis`` is the
+    ``best_params`` is (polar, azimuth, t) as in SearchSpace; ``best_basis`` is the
     auxiliary measurement whose outcome 0 attains ``best_value`` there.
     """
 
@@ -124,10 +114,9 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n parameter vectors drawn as one (n, d) block from the stream, uniform in the box."""
-    lo, hi = space.bounds()
-    u = rng.random((n, space.n_params))
-    u *= hi - lo  # scaled in place: lo is 0, so this is lo + u (hi - lo) bit for bit
+    """n parameter vectors drawn as one (n, 3) block from the stream, uniform in the box."""
+    u = rng.random((n, 3))
+    u *= space.span
     return u
 
 
@@ -149,7 +138,7 @@ class WpEvaluator:
 
     The kernel is real arithmetic in units of h. With tau = h t, g = J/h and
     W = Omega/h, it reads the phases W tau = Omega t and g tau = J t as
-    protocol.parity_blocks forms them (so a value is finite exactly where the
+    protocol.joint_unitary forms them (so a value is finite exactly where the
     oracle is), the amplitudes g/W = J/Omega and 2/W = 2h/Omega (at most 1 at
     any scale of h and J) and the energies c/h = (k - 1, k + 1), and it
     multiplies the result by h once at the end. Sines and cosines come from
@@ -190,8 +179,8 @@ class WpEvaluator:
 
     def __call__(self, params) -> np.ndarray:
         p = np.atleast_2d(np.asarray(params, dtype=float))
-        if p.shape[1] != self.space.n_params:
-            raise ConfigError(f"expected {self.space.n_params} parameters, got {p.shape[1]}")
+        if p.shape[1] != len(self.space.span):
+            raise ConfigError(f"expected {len(self.space.span)} parameters, got {p.shape[1]}")
         blocks = range(0, len(p) or 1, _BLOCK)  # an empty batch is one empty block
         return np.concatenate([self._values(p[i : i + _BLOCK]) for i in blocks])
 
@@ -276,7 +265,7 @@ def optimize(
         raise ConfigError(f"budget must be at least 1, got {budget}")
     evaluator = WpEvaluator(space, spec)
     rng = make_rng(seed)
-    lo, hi = space.bounds()
+    span = space.span
 
     best = -math.inf
     best_x: np.ndarray | None = None
@@ -284,9 +273,6 @@ def optimize(
     leaders: list[tuple[float, np.ndarray]] = []  # well-separated top points, best first
 
     n_explore = max(1, (4 * budget) // 5)
-    # convergence is judged on exploration: did the trailing ceil(budget/5)
-    # samples, those after sample number cut, move the running best by >= 1e-2 h?
-    cut = max(n_explore - math.ceil(budget / 5), 1)
     for used in range(0, n_explore, SAMPLE_CHUNK):
         pts = sample_batch(space, rng, SAMPLE_CHUNK)[: n_explore - used]
         vals = evaluator(pts)
@@ -295,13 +281,16 @@ def optimize(
             best = float(vals[j])
             best_x = pts[j].copy()
             trace.append((used + j + 1, best))
-        if used < cut <= used + len(vals):
-            baseline = float(running[cut - used])
-        _update_leaderboard(leaders, pts, vals, hi - lo)
+        _update_leaderboard(leaders, pts, vals, span)
 
     if best == -math.inf:
         raise DomainError(f"w_p is not finite at any of {n_explore} samples for h={spec.h}, "
                           f"J={spec.J}, t_max={space.t_max}: phases beyond the float range")
+    # convergence is judged on exploration: did the trailing ceil(budget/5)
+    # samples, those after sample number cut, move the running best by >= 1e-2 h?
+    # trace holds every rise, so its last entry up to cut is the best before them
+    cut = max(n_explore - math.ceil(budget / 5), 1)
+    baseline = max((value for index, value in trace if index <= cut), default=-math.inf)
     converged = (best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
     # every leader zooms: the best exploration point need not sit in the
     # basin of the best optimum
@@ -311,8 +300,8 @@ def optimize(
     step_points = len(leaders) * len(_LATTICE)
     width = 0.125  # zoom width, as a fraction of each coordinate's span
     while width >= _ZOOM_STOP and used + step_points <= budget:
-        pts = np.clip(xs[:, None, :] + _LATTICE * (width * (hi - lo)), lo, hi)
-        vals = evaluator(pts.reshape(-1, space.n_params)).reshape(len(xs), -1)
+        pts = np.clip(xs[:, None, :] + _LATTICE * (width * span), 0.0, span)
+        vals = evaluator(pts.reshape(-1, len(span))).reshape(len(xs), -1)
         used += step_points
         top = np.argmax(vals, axis=1)
         top_vals = vals[np.arange(len(xs)), top]

@@ -197,28 +197,24 @@ def outcome_matrix(rho0, spec: HamiltonianSpec, t) -> np.ndarray:
     return np.einsum("...i,...iaib->...ab", c, rho_t.reshape(rho_t.shape[:-2] + (2, 2, 2, 2)))
 
 
-def parity_blocks(spec: HamiltonianSpec, t):
-    """exp(-iHt) on the two Z x Z parity blocks, for a time or an array of times.
+def joint_unitary(spec: HamiltonianSpec, t) -> np.ndarray:
+    """exp(-i H t) for the joint Hamiltonian, 4x4 for one time and (..., 4, 4)
+    for an array of times, assembled in closed form on the two Z x Z parity blocks.
 
     H is [[2h, J], [J, -2h]] on {|00>, |11>}, so U = cos(W t) - i sin(W t)
     (2h sigma_z + J sigma_x) / W = [[d, o], [o, conj(d)]] there, with W = hypot(2h, J)
     (finite and non-zero at any scale of h and J). H is J sigma_x on {|01>, |10>},
-    so U = cos(J t) - i sin(J t) sigma_x = [[c, s], [s, c]] there. Returns (d, o, c, s).
+    so U = cos(J t) - i sin(J t) sigma_x = [[c, s], [s, c]] there.
     """
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise DomainError("evolution time must be non-negative")
     omega = spec.omega
     wt, jt = omega * t, spec.J * t
     sin_wt = np.sin(wt)
     d = np.cos(wt) - 1j * ((2.0 * spec.h / omega) * sin_wt)
-    return d, -1j * ((spec.J / omega) * sin_wt), np.cos(jt), -1j * np.sin(jt)
-
-
-def joint_unitary(spec: HamiltonianSpec, t) -> np.ndarray:
-    """exp(-i H t) for the joint Hamiltonian, assembled from its parity blocks:
-    4x4 for one time, (..., 4, 4) for an array of times."""
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise DomainError("evolution time must be non-negative")
-    d, o, c, s = parity_blocks(spec, t)
+    o = -1j * ((spec.J / omega) * sin_wt)
+    c, s = np.cos(jt), -1j * np.sin(jt)
     u = np.zeros(t.shape + (4, 4), dtype=complex)
     u[..., 0, 0], u[..., 0, 3], u[..., 3, 0], u[..., 3, 3] = d, o, o, np.conj(d)
     u[..., 1, 1], u[..., 1, 2], u[..., 2, 1], u[..., 2, 2] = c, s, s, c

@@ -34,7 +34,7 @@ from .battery import (
     hamiltonian_joint,
     passive_state,
 )
-from .optimizer import SearchSpace, derive_seed, make_rng, optimize
+from .optimizer import FAMILIES, SearchSpace, derive_seed, make_rng, optimize
 from .protocol import (
     Z_BASIS,
     EntangledInitParams,
@@ -267,7 +267,7 @@ def suite_optimum_bound(spec: HamiltonianSpec, seed: int) -> SuiteResult:
     scores 0, and every protocol obeys w_p <= P (E0 + h) <= h(1+k)."""
     h = spec.h
     excess = []
-    cases = itertools.product(("separable", "entangled"), (-0.5, 0.5))
+    cases = itertools.product(FAMILIES, (-0.5, 0.5))
     for i, (family, k) in enumerate(cases):
         space = SearchSpace(family, k, t_max=10.0 / h)
         value = optimize(space, spec, budget=2000, seed=derive_seed(seed, i)).best_value

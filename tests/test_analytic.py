@@ -66,6 +66,10 @@ class TestSmallTCoefficient:
     def test_vanishes_without_coupling(self):
         assert wp_small_t(0.5, 1.0, HamiltonianSpec(h=1.0, J=0.0)) == 0.0
 
+    def test_overflows_to_inf_instead_of_raising(self):
+        # (hJ)^2 = 4e400 leaves the float range: inf, like the other closed forms
+        assert wp_small_t(0.5, 1.0, HamiltonianSpec(1e100, 2e100)) == math.inf
+
     @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.3), (2.0, 4.0), (0.5, -3.0)])
     def test_closed_form_keeps_its_digits_at_small_t(self, h, j):
         # at tau = h t = 1e-4 the closed form is c t^4 up to its t^6 term, a

@@ -1,7 +1,9 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from qbattery.battery import HamiltonianSpec
 from qbattery.cli import RunConfig, build_parser, cmd_verify, main, resolve_config, sweep_values
 from qbattery.errors import ConfigError
-from qbattery import verify
+from qbattery import analytic, verify
 from qbattery.verify import run_suites
 
 
@@ -341,6 +343,16 @@ class TestVerify:
         residuals = [float(x) for x in re.findall(r"max_residual=(\S+)", out)]
         assert len(residuals) == 11 and all(math.isfinite(r) for r in residuals)
 
+    @pytest.mark.parametrize("h, j", [("1", "1e308"), ("1e-300", "1e308")])
+    def test_unresolved_phases_exit_2_naming_h_and_j(self, capsys, h, j):
+        # the suites draw times in [0, 10/h]: Omega*10/h is inf here, and J/h at
+        # (1e-300, 1e308) overflows, so the sweep's phase check runs first
+        assert main(["verify", "--h", h, "--J", j]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error: the phase Omega*t_max")
+        assert f"h={float(h)!r}, J={float(j)!r}, t_max=10.0" in err
+
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0
         out = capsys.readouterr().out
@@ -382,11 +394,49 @@ class TestMps:
         assert main(["mps", "--grid-n", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_2(self, monkeypatch, tmp_path, capsys):
+        # what numpy raises when a grid does not fit in memory
+        def scan(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(analytic, "mps_scan", scan)
+        out = tmp_path / "mps.csv"
+        assert main(["mps", "--grid-n", "1000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
+
 
 class TestSweepValues:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
             sweep_values("bogus", RunConfig())
+
+    @pytest.mark.parametrize("threads, cpus, expected", [(None, 3, 3), (64, 3, 3), (2, 3, 2),
+                                                         (64, 16, 5)])
+    def test_pool_is_capped_at_the_available_cpus(self, monkeypatch, threads, cpus, expected):
+        # a fake pool that records its size and maps in this process: no worker starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = RunConfig(k_points=5, budget=200, seed=7, threads=threads)
+        values = sweep_values("separable", cfg)
+        assert sizes == [expected]
+        assert values == sweep_values("separable", dataclasses.replace(cfg, threads=1))
 
     def test_unitary_is_exact_and_instant(self):
         values = sweep_values("unitary", RunConfig())

@@ -7,6 +7,7 @@ from qbattery.analytic import wp_closed_form
 from qbattery.battery import BlochVector, HamiltonianSpec
 from qbattery.errors import ConfigError, DomainError
 from qbattery.optimizer import (
+    FAMILIES,
     SearchSpace,
     WpEvaluator,
     derive_seed,
@@ -42,14 +43,14 @@ def cli_row(family, i):
 
 class TestSearchSpace:
     def test_parameter_counts(self):
-        assert SearchSpace("separable", 0.0).n_params == 3
-        assert SearchSpace("entangled", 0.0).n_params == 3
+        # both families search (polar, azimuth, t)
+        for family in FAMILIES:
+            assert SearchSpace(family, 0.0).span.shape == (3,)
 
     def test_bounds_cover_the_box(self):
-        for family in ("separable", "entangled"):
-            lo, hi = SearchSpace(family, 0.0, t_max=7.0).bounds()
-            assert np.allclose(lo, 0.0)
-            assert np.allclose(hi, [np.pi, 2.0 * np.pi, 7.0])
+        for family in FAMILIES:
+            assert np.array_equal(SearchSpace(family, 0.0, t_max=7.0).span,
+                                  [np.pi, 2.0 * np.pi, 7.0])
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigError):
@@ -77,21 +78,19 @@ class TestSampling:
         assert np.array_equal(first, second)
 
     def test_batches_stay_inside_bounds(self):
-        for family in ("separable", "entangled"):
+        for family in FAMILIES:
             space = SearchSpace(family, -0.4, t_max=3.0)
             pts = sample_batch(space, make_rng(5), 10_000)
-            lo, hi = space.bounds()
-            assert np.all(pts >= lo) and np.all(pts <= hi)
+            assert np.all(pts >= 0.0) and np.all(pts <= space.span)
 
     def test_draws_are_uniform_in_the_box(self):
-        # every coordinate, the polar angle included, is uniform on [0, hi]:
-        # its mean sits at hi/2 and a tenth of the draws fall in each tenth
+        # every coordinate, the polar angle included, is uniform on [0, span]:
+        # its mean sits at span/2 and a tenth of the draws fall in each tenth
         space = SearchSpace("separable", 0.0, t_max=7.0)
         pts = sample_batch(space, make_rng(12), 100_000)
-        _, hi = space.bounds()
-        for column in range(3):
-            assert abs(np.mean(pts[:, column]) / hi[column] - 0.5) < 0.01
-            counts, _ = np.histogram(pts[:, column], bins=10, range=(0.0, hi[column]))
+        for column, span in enumerate(space.span):
+            assert abs(np.mean(pts[:, column]) / span - 0.5) < 0.01
+            counts, _ = np.histogram(pts[:, column], bins=10, range=(0.0, span))
             assert np.all(np.abs(counts / len(pts) - 0.1) < 0.005)
 
 
