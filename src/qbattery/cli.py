@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import json
 import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,12 +34,11 @@ EXIT_CONFIG = 2
 
 # a search needs phases that resolve: one ulp of Omega t_max must stay below this
 MAX_PHASE_ULP = 1e-6  # rad
-SEARCH_ONLY = ("budget", "t_max", "threads")  # RunConfig fields that only a search reads
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (flags over config file over defaults)."""
+    """Resolved run configuration (the flags given over the defaults)."""
 
     h: float = 1.0
     J: float | None = None
@@ -133,7 +131,10 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
         (SearchSpace(family, float(k), t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
     ]
-    cpus = len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity masks on macOS and Windows
+        cpus = os.cpu_count() or 1
     workers = min(cfg.threads or cpus, cpus, len(tasks))
     if workers <= 1:
         results = [_optimize_task(t) for t in tasks]
@@ -252,43 +253,23 @@ plt.show()
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Flags over config file over defaults, for the RunConfig fields that
-    the subcommand reads (those its parser defines, less SEARCH_ONLY for
-    ``sweep unitary``); any other flag or key is an error."""
-    read = [f.name for f in fields(RunConfig) if hasattr(args, f.name)]
-    command = args.command
-    if getattr(args, "family", None) == "unitary":  # shares the sweep parser but searches nothing
-        command = "sweep unitary"
-        given = [f"--{name.replace('_', '-')}" for name in SEARCH_ONLY
-                 if getattr(args, name) is not None]
-        if given:
-            raise ConfigError(f"sweep unitary does not read {', '.join(given)}")
-        read = [name for name in read if name not in SEARCH_ONLY]
-    cfg = RunConfig()
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        unknown = set(loaded) - set(read)
-        if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-        cfg = replace(cfg, **loaded)
-    overrides = {name: getattr(args, name) for name in read if getattr(args, name) is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+    """The RunConfig fields that the subcommand's parser defines and the
+    user set, over the defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return RunConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--h", type=float, dest="h", default=None, help="field strength (default 1)")
     model.add_argument("--J", type=float, dest="J", default=None, help="coupling (default 2h)")
-    model.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=None, help="64-bit run seed")
-    search = argparse.ArgumentParser(add_help=False, parents=[seed])
-    search.add_argument("--k-min", type=float, dest="k_min", default=None)
-    search.add_argument("--k-max", type=float, dest="k_max", default=None)
-    search.add_argument("--k-points", type=int, dest="k_points", default=None)
+    grid = argparse.ArgumentParser(add_help=False, parents=[model, seed])
+    grid.add_argument("--k-min", type=float, dest="k_min", default=None)
+    grid.add_argument("--k-max", type=float, dest="k_max", default=None)
+    grid.add_argument("--k-points", type=int, dest="k_points", default=None)
+    search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--budget", type=int, default=None, help="evaluations per grid point")
     search.add_argument(
         "--t-max", type=float, dest="t_max", default=None, help="time bound in 1/h (default 10)"
@@ -301,14 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Quantum-battery energy extraction: unitary vs. measurement-assisted.",
+        fromfile_prefix_chars="@",
+        epilog="@FILE reads further arguments from FILE, one per line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser(
-        "sweep", parents=[model, search, csv], help="k-sweep of one extraction method"
-    )
-    sweep.add_argument("family", choices=("unitary", *FAMILIES))
+    sweep = sub.add_parser("sweep", help="k-sweep of one extraction method")
+    families = sweep.add_subparsers(dest="family", required=True)
+    families.add_parser("unitary", parents=[grid, csv], help="ergotropy, exact")
+    for family in FAMILIES:
+        families.add_parser(
+            family, parents=[grid, search, csv], help=f"searched optimum, {family} inits"
+        )
     inset = sub.add_parser(
-        "inset", parents=[model, search, csv], help="difference curves between methods"
+        "inset", parents=[grid, search, csv], help="difference curves between methods"
     )
     inset.add_argument("which", choices=("fig2", "fig3"))
     sub.add_parser("verify", parents=[model, seed], help="run the self-check suites")
@@ -321,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "sweep":
             return cmd_sweep(args.family, cfg, args.plot_script)
@@ -333,8 +319,7 @@ def main(argv=None) -> int:
         if args.command == "mps":
             return cmd_mps(cfg, args.grid_n, args.t_probe, args.plot_script)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DomainError, MemoryError, OSError, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, MemoryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -101,8 +101,10 @@ def suite_operator_algebra(spec: HamiltonianSpec, rng) -> SuiteResult:
         residuals.append(_norms((vectors * values[:, None, :]) @ _dagger(vectors) - m))
         residuals.append(_norms(_dagger(vectors) @ vectors - np.eye(dim)))
     t1, t2 = 10.0 / spec.h * rng.random((2, 25))
-    u1, u2, u12 = qmath.evolve(hamiltonian_joint(spec), np.stack([t1, t2, t1 + t2]))
+    times = np.stack([t1, t2, t1 + t2])
+    u1, u2, u12 = evolved = qmath.evolve(hamiltonian_joint(spec), times)
     residuals.append(_norms(u1 @ u2 - u12))
+    residuals.append(_norms(joint_unitary(spec, times) - evolved))  # the oracle's evolution
     residuals.append(_norms(u1 @ _dagger(u1) - np.eye(4)))
     a, b = bloch_state(_uniform_ball(rng, 25)), bloch_state(_uniform_ball(rng, 25))
     prod = qmath.kron(a, b)

@@ -1,9 +1,9 @@
 """Acceptance gate: every release criterion at its pinned tolerance.
 
 The stochastic criteria run the real CLI sweeps at the default 81-point
-grid and default per-point budget, so this module takes a few minutes;
-run it with ``pytest tests/test_acceptance.py -v -s`` to see one summary
-line per criterion.
+grid and default per-point budget; the module takes about 5 s on a
+2-core machine. Run it with ``pytest tests/test_acceptance.py -v -s`` to
+see one summary line per criterion.
 """
 
 import time

@@ -1,7 +1,6 @@
 import argparse
 import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import re
@@ -58,56 +57,82 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
-class TestConfigResolution:
-    def test_flags_override_config_file(self, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"k_points": 9, "budget": 555}))
-        args = build_parser().parse_args(
-            ["sweep", "separable", "--config", str(config), "--k-points", "3"]
-        )
+def exit_code(argv):
+    """main's exit code, whether it returns it or argparse raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_args(tmp_path, content):
+    path = tmp_path / "run.args"
+    path.write_bytes(content)
+    return f"@{path}"
+
+
+class TestArgumentFiles:
+    """An @file holds flags, one per line, and goes through the same parser."""
+
+    def test_flags_override_argument_file(self, tmp_path):
+        run = write_args(tmp_path, b"--k-points=9\n--budget\n555\n")
+        args = build_parser().parse_args(["sweep", "separable", run, "--k-points", "3"])
         cfg = resolve_config(args)
         assert cfg.k_points == 3  # flag wins
         assert cfg.budget == 555  # file fills the rest
 
-    def test_unknown_config_key_is_rejected(self, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"k_pionts": 9}))
-        args = build_parser().parse_args(["sweep", "unitary", "--config", str(config)])
-        with pytest.raises(ConfigError):
-            resolve_config(args)
+    def test_unknown_option_in_file_is_rejected(self, tmp_path, capsys):
+        run = write_args(tmp_path, b"--k-pionts=9\n")
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["sweep", "unitary", run])
+        assert exit_info.value.code == 2
+        assert "--k-pionts=9" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"k_pionts": 9}', b'{"k_points": "5"}', b'{"budget": 2.5}', b'{"seed": true}',
-         b'{"out": 5}', b"[1, 2]", b'"run"', b"3", b"{", b"\xff\xfe{}"],
+        [b"--k-pionts=9", b"--k-points=5.5", b"--budget=2.5", b"--seed=true", b"--out",
+         b"9", b"--threads=two", b"--t-max=ten", b"\xff\xfe--budget=9", None],
     )
-    def test_bad_config_file_exits_2(self, tmp_path, capsys, content):
-        config = tmp_path / "run.json"
-        config.write_bytes(content)
-        assert main(["sweep", "separable", "--config", str(config), "--out",
-                     str(tmp_path / "s.csv")]) == 2
+    def test_bad_argument_file_exits_2(self, tmp_path, capsys, content):
+        run = f"@{tmp_path / 'missing.args'}" if content is None else write_args(tmp_path, content)
+        out = tmp_path / "s.csv"
+        assert exit_code(["sweep", "separable", run, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert "error: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["sweep", "separable"], ["inset", "fig3"]])
+    def test_file_and_inline_flags_write_the_same_bytes(self, tmp_path, command):
+        inline, from_file = tmp_path / "inline.csv", tmp_path / "file.csv"
+        assert main([*command, *SMALL, "--out", str(inline)]) == 0
+        run = write_args(tmp_path, "\n".join([*SMALL, f"--out={from_file}"]).encode())
+        assert main([*command, run]) == 0
+        assert from_file.read_bytes() == inline.read_bytes()
 
 
 class TestOptionsPerSubcommand:
-    """Each subcommand takes exactly the flags and config keys it reads."""
+    """Each subcommand takes exactly the flags it reads."""
 
-    MODEL = {"--h", "--J", "--config"}
-    SEARCH = {"--seed", "--k-min", "--k-max", "--k-points", "--budget", "--t-max", "--threads"}
+    MODEL = {"--h", "--J"}
+    GRID = {"--seed", "--k-min", "--k-max", "--k-points"}
+    SEARCH = {"--budget", "--t-max", "--threads"}
     CSV = {"--out", "--plot-script"}
 
     def test_option_table(self):
-        subparsers = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        options = {
-            name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
-            for name, sub in subparsers.choices.items()
-        }
-        assert options == {
-            "sweep": self.MODEL | self.SEARCH | self.CSV,
-            "inset": self.MODEL | self.SEARCH | self.CSV,
+        def leaves(parser, name=""):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                flags = {s for a in parser._actions for s in a.option_strings}
+                yield name, flags - {"-h", "--help"}
+            for sub in subs:
+                for child, child_parser in sub.choices.items():
+                    yield from leaves(child_parser, f"{name} {child}".strip())
+
+        assert dict(leaves(build_parser())) == {
+            "sweep unitary": self.MODEL | self.GRID | self.CSV,
+            "sweep separable": self.MODEL | self.GRID | self.SEARCH | self.CSV,
+            "sweep entangled": self.MODEL | self.GRID | self.SEARCH | self.CSV,
+            "inset": self.MODEL | self.GRID | self.SEARCH | self.CSV,
             "verify": self.MODEL | {"--seed"},
             "mps": self.MODEL | self.CSV | {"--grid-n", "--t-probe"},
         }
@@ -127,31 +152,29 @@ class TestOptionsPerSubcommand:
         assert flag in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "command, key, value", [("mps", "budget", 5), ("verify", "out", "x.csv")]
+        "command, option", [("mps", "--budget=5"), ("verify", "--out=x.csv")]
     )
-    def test_unread_config_key_exits_2(self, tmp_path, capsys, command, key, value):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: value}))
-        assert main([command, "--config", str(config)]) == 2
+    def test_unread_option_in_file_exits_2(self, tmp_path, capsys, command, option):
+        assert exit_code([command, write_args(tmp_path, option.encode())]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--budget", "--t-max", "--threads"])
     def test_unitary_sweep_rejects_search_flags(self, tmp_path, capsys, flag):
         out = tmp_path / "u.csv"
-        assert main(["sweep", "unitary", "--k-points", "3", flag, "7", "--out", str(out)]) == 2
+        assert exit_code(["sweep", "unitary", "--k-points", "3", flag, "7", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: sweep unitary does not read") and flag in err
+        assert f"unrecognized arguments: {flag} 7" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["budget", "t_max", "threads"])
-    def test_unitary_sweep_rejects_search_config_keys(self, tmp_path, capsys, key):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({key: 7}))
-        assert main(["sweep", "unitary", "--config", str(config), "--out",
-                     str(tmp_path / "u.csv")]) == 2
+    @pytest.mark.parametrize("option", ["--budget=7", "--t-max=7", "--threads=7"])
+    def test_unitary_sweep_rejects_search_options_in_file(self, tmp_path, capsys, option):
+        out = tmp_path / "u.csv"
+        run = write_args(tmp_path, option.encode())
+        assert exit_code(["sweep", "unitary", run, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown config keys for sweep unitary") and repr(key) in err
+        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -304,6 +327,21 @@ class TestVerify:
         monkeypatch.setattr(verify, "optimize", search)
         assert verify.suite_optimum_bound(HamiltonianSpec(h, j), 1).passed is passed
 
+    @pytest.mark.parametrize("i, j", [(0, 3), (1, 2)])
+    def test_operator_algebra_catches_a_sign_flipped_joint_unitary(self, monkeypatch, i, j):
+        # the oracle evolves with joint_unitary: flip the off-diagonal entries of one parity block
+        exact = verify.joint_unitary
+
+        def flipped(spec, t):
+            u = exact(spec, t)
+            u[..., i, j] *= -1
+            u[..., j, i] *= -1
+            return u
+
+        monkeypatch.setattr(verify, "joint_unitary", flipped)
+        result = verify.suite_operator_algebra(HamiltonianSpec(), np.random.default_rng(0))
+        assert not result.passed and result.residual > 1.0
+
     def test_passive_suite_catches_an_ergotropy_offset(self, monkeypatch):
         # the suite compares the closed forms with an independent spectral oracle
         closed_form = verify.ergotropy
@@ -412,10 +450,10 @@ class TestSweepValues:
         with pytest.raises(ConfigError):
             sweep_values("bogus", RunConfig())
 
-    @pytest.mark.parametrize("threads, cpus, expected", [(None, 3, 3), (64, 3, 3), (2, 3, 2),
-                                                         (64, 16, 5)])
-    def test_pool_is_capped_at_the_available_cpus(self, monkeypatch, threads, cpus, expected):
-        # a fake pool that records its size and maps in this process: no worker starts
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Sizes of the pools sweep_values opens; the fake pool maps in this
+        process, so no worker starts."""
         sizes = []
 
         class FakePool:
@@ -431,12 +469,32 @@ class TestSweepValues:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("threads, cpus, expected", [(None, 3, 3), (64, 3, 3), (2, 3, 2),
+                                                         (64, 16, 5)])
+    def test_pool_is_capped_at_the_available_cpus(self, monkeypatch, pool_sizes, threads, cpus,
+                                                  expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = RunConfig(k_points=5, budget=200, seed=7, threads=threads)
         values = sweep_values("separable", cfg)
-        assert sizes == [expected]
+        assert pool_sizes == [expected]
         assert values == sweep_values("separable", dataclasses.replace(cfg, threads=1))
+
+    @pytest.mark.parametrize("threads", [None, 1, 64])
+    def test_pool_falls_back_to_the_cpu_count_without_affinity(
+        self, monkeypatch, tmp_path, pool_sizes, threads
+    ):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        out = tmp_path / "s.csv"
+        flags = [] if threads is None else ["--threads", str(threads)]
+        assert main(["sweep", "separable", "--k-points", "5", "--budget", "100", *flags,
+                     "--out", str(out)]) == 0
+        assert pool_sizes == ([] if threads == 1 else [3])
+        assert len(read_csv(out)[1]) == 5
 
     def test_unitary_is_exact_and_instant(self):
         values = sweep_values("unitary", RunConfig())
