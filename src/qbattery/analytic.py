@@ -31,9 +31,13 @@ from . import qmath
 
 # Scan defaults. The probe time must sit where the closed-form w_p is
 # positive but small; 0.1/h keeps the weakest on-grid signal of a 101x101
-# scan about 25x above the extractability threshold.
+# scan about 25x above the extractability threshold. Past J = sqrt(21) h the
+# default shortens to 0.5/Omega, inside the window t < 1/Omega.
 DEFAULT_T_PROBE = 0.1
 EXTRACTABLE_THRESHOLD = 1e-8
+# the most float64 elements one numpy array can describe; beyond it numpy
+# raises ValueError or IndexError, not MemoryError
+MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 AUX_GROUND = np.array([[0, 0], [0, 1]], dtype=complex)
 
@@ -149,12 +153,16 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
     drain at its quarter period, as wp_excited_closed_form. A point is
     passive when every probe stays at or below the threshold; on the
     default regime only the ground state (s=1, theta=pi) qualifies.
-    Memory grows as a few grid_n^2 floats.
+    t_probe defaults to min(DEFAULT_T_PROBE/h, 0.5/Omega). Memory grows as a
+    few grid_n^2 floats.
     """
     if grid_n < 2:
         raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
+    if grid_n > math.isqrt(MAX_GRID_POINTS):
+        raise ConfigError(f"grid_n {grid_n} is too large: numpy cannot describe a "
+                          f"grid_n x grid_n float64 scan")
     if t_probe is None:
-        t_probe = DEFAULT_T_PROBE / spec.h
+        t_probe = min(DEFAULT_T_PROBE / spec.h, 0.5 / spec.omega)
     # omega >= 2h, |J|, so omega t < 1 bounds every phase of the probe
     if not 0.0 < t_probe < 1.0 / spec.omega:
         raise ConfigError(f"t_probe {t_probe} outside the small-time probe window")

@@ -64,6 +64,9 @@ class RunConfig:
             raise ConfigError(f"out must be a string, got {self.out!r}")
         if self.k_points < 1:
             raise ConfigError(f"k_points must be at least 1, got {self.k_points}")
+        if self.k_points > analytic.MAX_GRID_POINTS:
+            raise ConfigError(f"k_points {self.k_points} is too large: numpy cannot describe "
+                              f"a float64 grid of that many points")
         if not -1.0 <= self.k_min <= self.k_max <= 1.0:
             raise ConfigError(f"need -1 <= k_min <= k_max <= 1, got [{self.k_min}, {self.k_max}]")
         if self.budget < 1:
@@ -301,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     mps = sub.add_parser("mps", parents=[model, csv], help="measurement-passivity scan")
     mps.add_argument("--grid-n", type=int, dest="grid_n", default=101)
     mps.add_argument(
-        "--t-probe", type=float, dest="t_probe", default=None, help="probe time in 1/h (default 0.1)"
+        "--t-probe", type=float, dest="t_probe", default=None,
+        help="probe time in 1/h (default min(0.1, 0.5 h/Omega), inside t < 1/Omega)",
     )
     return parser
 

@@ -14,13 +14,13 @@ and peaks on the Bloch sphere: the auxiliary is pure (r = 1). Both families
 therefore search (polar, azimuth, t) in [0, pi] x [0, 2 pi) x [0, t_max].
 
 Two-phase search: exploration draws uniformly from that box (80% of the
-evaluation budget), then a lattice zoom refines the best few well-separated
-exploration candidates (the leaders) in lockstep. Each zoom step evaluates
-the 5x5x5 lattice x + {-1, -1/2, 0, 1/2, 1}^3 * w around every leader x,
-clipped to the box, in one batch; a leader moves to its lattice maximum when
-that beats its value, and the width w halves. Draws are uniform in the
-angles, not Haar-uniform on the sphere, because the optima sit at the poles,
-where Haar draws almost never land.
+evaluation budget), then a lattice zoom refines the leaders in lockstep: up
+to 8 well-separated points picked once, greedily, from each chunk's 32 best.
+Each zoom step evaluates the 5x5x5 lattice x + {-1, -1/2, 0, 1/2, 1}^3 * w
+around every leader x, clipped to the box, in one batch; a leader moves to
+its lattice maximum when that beats its value, and the width w halves. Draws
+are uniform in the angles, not Haar-uniform on the sphere, because the
+optima sit at the poles, where Haar draws almost never land.
 
 Randomness comes from the counter-based Philox-4x64-10 generator keyed by
 a 64-bit seed, so runs are bit-reproducible and exploration chunks can be
@@ -249,10 +249,10 @@ def optimize(
     Every evaluation already takes the best auxiliary measurement (the top
     eigenvalue of A), so only (polar, azimuth, t) is searched. Exploration
     scans samples drawn uniformly from the box; refinement then zooms in on
-    the leaderboard candidates in lockstep, one batched 125-point lattice per
-    leader and step, halving the lattice width every step until it falls
-    below 1e-9 of the box or the next step would overrun the budget.
-    Refinement draws no random numbers.
+    the leaders (_select_leaders, from each chunk's 32 best) in lockstep, one
+    batched 125-point lattice per leader and step, halving the lattice width
+    every step until it falls below 1e-9 of the box or the next step would
+    overrun the budget. Refinement draws no random numbers.
 
     ``trace`` lists (evaluations spent, best value) each time the best value
     rises: during exploration the index is that of the improving sample,
@@ -270,7 +270,7 @@ def optimize(
     best = -math.inf
     best_x: np.ndarray | None = None
     trace: list[tuple[int, float]] = []
-    leaders: list[tuple[float, np.ndarray]] = []  # well-separated top points, best first
+    pool_x, pool_f = [], []  # each chunk's 4 * _LEADERBOARD_SIZE best points and values
 
     n_explore = max(1, (4 * budget) // 5)
     for used in range(0, n_explore, SAMPLE_CHUNK):
@@ -281,7 +281,10 @@ def optimize(
             best = float(vals[j])
             best_x = pts[j].copy()
             trace.append((used + j + 1, best))
-        _update_leaderboard(leaders, pts, vals, span)
+        first = max(len(vals) - 4 * _LEADERBOARD_SIZE, 0)
+        top = np.argpartition(vals, first)[first:]
+        pool_x.append(pts[top])
+        pool_f.append(vals[top])
 
     if best == -math.inf:
         raise DomainError(f"w_p is not finite at any of {n_explore} samples for h={spec.h}, "
@@ -294,10 +297,9 @@ def optimize(
     converged = (best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
     # every leader zooms: the best exploration point need not sit in the
     # basin of the best optimum
-    xs = np.array([x for _, x in leaders])
-    fs = np.array([f for f, _ in leaders])
+    xs, fs = _select_leaders(np.concatenate(pool_x), np.concatenate(pool_f), span)
     used = n_explore
-    step_points = len(leaders) * len(_LATTICE)
+    step_points = len(xs) * len(_LATTICE)
     width = 0.125  # zoom width, as a fraction of each coordinate's span
     while width >= _ZOOM_STOP and used + step_points <= budget:
         pts = np.clip(xs[:, None, :] + _LATTICE * (width * span), 0.0, span)
@@ -322,22 +324,17 @@ _LEADERBOARD_SIZE = 8
 _LEADERBOARD_SEPARATION = 0.08  # of each coordinate's span, Chebyshev
 
 
-def _update_leaderboard(leaders, pts, vals, span):
-    """Keep the best few points that are mutually separated in the box."""
-    first = max(len(vals) - 4 * _LEADERBOARD_SIZE, 0)
-    top = np.argpartition(vals, first)[first:]  # the 4 * size best, unordered
-    for j in top[np.argsort(vals[top])[::-1]]:
-        value = float(vals[j])
-        if len(leaders) == _LEADERBOARD_SIZE and value <= leaders[-1][0]:
-            break
-        point = pts[j]
-        near = next((i for i, (_, kept) in enumerate(leaders)
-                     if np.max(np.abs(point - kept) / span) < _LEADERBOARD_SEPARATION), None)
-        if near is None:
-            leaders.append((value, point.copy()))
-        elif value > leaders[near][0]:
-            leaders[near] = (value, point.copy())
-        else:
-            continue
-        leaders.sort(key=lambda pair: -pair[0])
-        del leaders[_LEADERBOARD_SIZE:]
+def _select_leaders(xs, fs, span):
+    """The refinement starts among candidate points xs with values fs: greedily,
+    best first (ties in candidate order), each point that lies at least
+    _LEADERBOARD_SEPARATION of every span (Chebyshev) from every better point
+    kept, up to _LEADERBOARD_SIZE of them. Returns their points and values."""
+    order = np.argsort(-fs, kind="stable")
+    xs, fs = xs[order], fs[order]
+    free = np.ones(len(fs), dtype=bool)  # not within the separation of a kept point
+    kept = []
+    while len(kept) < _LEADERBOARD_SIZE and free.any():
+        i = int(np.argmax(free))
+        kept.append(i)
+        free &= np.max(np.abs(xs - xs[i]) / span, axis=1) >= _LEADERBOARD_SEPARATION
+    return xs[kept], fs[kept]

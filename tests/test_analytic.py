@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbattery.analytic import (
+    MAX_GRID_POINTS,
     entanglement_entropy,
     excited_quarter_period,
     mps_scan,
@@ -206,6 +207,28 @@ class TestMpsScan:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ConfigError):
             mps_scan(1, SPEC)
+
+    @pytest.mark.parametrize("h, j", [(1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (2.0, 8.0)])
+    def test_default_probe_is_a_tenth_over_h_at_moderate_coupling(self, h, j):
+        assert mps_scan(3, HamiltonianSpec(h, j)).t_probe == 0.1 / h
+
+    @pytest.mark.parametrize("h, j", [(1.0, 10.0), (1.0, -20.0), (0.5, 25.0), (1.0, 50.0)])
+    def test_default_probe_stays_in_the_window_at_strong_coupling(self, h, j):
+        # 0.1/h would leave the window t < 1/Omega from |J| = 9.8h on
+        spec = HamiltonianSpec(h, j)
+        report = mps_scan(21, spec)
+        assert report.t_probe == 0.5 / spec.omega
+        assert report.passive_points() == [(1.0, math.pi)]
+
+    def test_rejects_grids_numpy_cannot_describe(self, monkeypatch):
+        def linspace(*args):  # side + 1 points alone would take 8.6 GB
+            raise AssertionError("the scan formed its grid")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        side = math.isqrt(MAX_GRID_POINTS)
+        for grid_n in (side + 1, 2**62, 2**63 - 1, 2**64):
+            with pytest.raises(ConfigError, match="grid_n .* too large"):
+                mps_scan(grid_n, SPEC)
 
     def test_rejects_probe_outside_window(self):
         with pytest.raises(ConfigError):

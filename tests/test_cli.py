@@ -241,6 +241,18 @@ class TestSweep:
         assert main(["sweep", "separable", "--J", "4e8", "--k-points", "2", "--budget", "100",
                      "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("command", [["sweep", "unitary"], ["sweep", "separable"],
+                                         ["inset", "fig3"]])
+    @pytest.mark.parametrize("k_points", [2**62, 2**63 - 1, 2**64])
+    def test_grid_numpy_cannot_describe_exits_2(self, tmp_path, capsys, command, k_points):
+        # rejected before any grid is formed: numpy would raise ValueError or IndexError
+        out = tmp_path / "s.csv"
+        assert main([*command, "--k-points", str(k_points), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: k_points {k_points} is too large: numpy cannot describe "
+                       "a float64 grid of that many points\n")
+        assert not out.exists()
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["sweep", "unitary", "--out", str(missing)]) == 2
@@ -391,6 +403,13 @@ class TestVerify:
         assert err.count("error:") == 1 and err.startswith("error: the phase Omega*t_max")
         assert f"h={float(h)!r}, J={float(j)!r}, t_max=10.0" in err
 
+    @pytest.mark.parametrize("j", ["10", "20"])
+    def test_strong_coupling_passes(self, capsys, j):
+        # the default probe time 0.1/h leaves the scan's window t < 1/Omega here
+        assert main(["verify", "--J", j]) == 0
+        out = capsys.readouterr().out
+        assert "11/11 suites passed" in out and "passive points: 1" in out
+
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0
         out = capsys.readouterr().out
@@ -431,6 +450,20 @@ class TestMps:
     def test_bad_grid_exits_2(self, capsys):
         assert main(["mps", "--grid-n", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("j", ["10", "50"])
+    def test_strong_coupling_scan_finds_only_the_ground_state(self, tmp_path, capsys, j):
+        out = tmp_path / "mps.csv"
+        assert main(["mps", "--J", j, "--grid-n", "21", "--out", str(out)]) == 0
+        assert "passive points: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid_n", [2**62, 2**63 - 1, 2**64])
+    def test_grid_numpy_cannot_describe_exits_2(self, tmp_path, capsys, grid_n):
+        out = tmp_path / "mps.csv"
+        assert main(["mps", "--grid-n", str(grid_n), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid_n {grid_n} is too large") and "Traceback" not in err
+        assert not out.exists()
 
     def test_out_of_memory_exits_2(self, monkeypatch, tmp_path, capsys):
         # what numpy raises when a grid does not fit in memory

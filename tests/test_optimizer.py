@@ -1,11 +1,15 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbattery.analytic import wp_closed_form
 from qbattery.battery import BlochVector, HamiltonianSpec
 from qbattery.errors import ConfigError, DomainError
+from qbattery import optimizer
 from qbattery.optimizer import (
     FAMILIES,
     SearchSpace,
@@ -323,6 +327,61 @@ class TestOptimize:
     def test_report_carries_seed(self):
         report = optimize(SearchSpace("entangled", 0.5), SPEC, budget=1500, seed=999)
         assert report.seed == 999
+
+
+def chebyshev_gaps(xs, span):
+    """Chebyshev distance, in units of each span, of every pair of points."""
+    return [np.max(np.abs(a - b) / span) for a, b in itertools.combinations(xs, 2)]
+
+
+# candidate sets on a coarse grid of the box, with few distinct values, so
+# that near pairs, pairs exactly 0.08 apart and tied values all occur
+candidate_sets = st.lists(
+    st.tuples(st.integers(0, 25), st.integers(0, 25), st.integers(0, 25), st.integers(-3, 3)),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestSelectLeaders:
+    SPAN = SearchSpace("separable", 0.0).span
+
+    @given(candidate_sets)
+    @settings(max_examples=200)
+    def test_leaders_are_the_greedy_separated_best(self, candidates):
+        grid = np.array(candidates, dtype=float)
+        xs, fs = grid[:, :3] * (0.04 * self.SPAN), grid[:, 3] / 3.0
+        lead_x, lead_f = optimizer._select_leaders(xs, fs, self.SPAN)
+        assert 1 <= len(lead_f) <= optimizer._LEADERBOARD_SIZE
+        assert min(chebyshev_gaps(lead_x, self.SPAN), default=1.0) >= 0.08
+        assert np.all(np.diff(lead_f) <= 0.0)  # best first
+        first = int(np.argmax(fs))  # the first candidate among the best ones
+        assert lead_f[0] == fs[first] and np.array_equal(lead_x[0], xs[first])
+        # reference: walk the candidates best first, ties in candidate order
+        kept = []
+        for i in sorted(range(len(fs)), key=lambda i: -fs[i]):
+            if len(kept) < optimizer._LEADERBOARD_SIZE and all(
+                np.max(np.abs(xs[i] - xs[j]) / self.SPAN) >= 0.08 for j in kept
+            ):
+                kept.append(i)
+        assert np.array_equal(lead_x, xs[kept]) and np.array_equal(lead_f, fs[kept])
+
+    def test_cli_row_starts_refinement_from_separated_leaders(self, monkeypatch):
+        # separable k = -0.425 (row 23) once started refinement from two
+        # points 0.014 of a span apart
+        select, starts = optimizer._select_leaders, []
+
+        def spy(xs, fs, span):
+            lead_x, lead_f = select(xs, fs, span)
+            starts.append(lead_x.copy())  # refinement moves the leaders in place
+            return lead_x, lead_f
+
+        monkeypatch.setattr(optimizer, "_select_leaders", spy)
+        assert CLI_GRID[23] == pytest.approx(-0.425)
+        cli_row("separable", 23)
+        (lead_x,) = starts
+        assert len(lead_x) == optimizer._LEADERBOARD_SIZE
+        assert min(chebyshev_gaps(lead_x, self.SPAN)) >= 0.08
 
 
 class TestDeriveSeed:
