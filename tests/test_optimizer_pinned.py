@@ -2,9 +2,10 @@
 
 The recorded reports live in data/optimize_reports.json, with every float
 stored by float.hex. Bookkeeping changes to the search (sampling, the
-leaderboard, the convergence window) must leave all of them unchanged;
-a deliberate change to what the search returns re-records them with
-``PYTHONPATH=src python tests/test_optimizer_pinned.py``.
+convergence window) must leave all of them unchanged. A change to what the
+search returns, such as which refinement starts _select_leaders picks,
+re-records them with ``PYTHONPATH=src python tests/test_optimizer_pinned.py``
+in a commit of its own that names every report that moved.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from qbattery.optimizer import SearchSpace, optimize
 RECORD = pathlib.Path(__file__).with_name("data") / "optimize_reports.json"
 SPECS = [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0), (0.5, -3.0), (1.0, 1e308)]
 KS = [-1.0, -0.5, 0.0, 0.3, 1.0]
-BUDGETS = [30, 2500, 30_000]  # 30: a chunk smaller than the leaderboard's candidate count
+BUDGETS = [30, 2500, 30_000]  # 30: a chunk smaller than the 32 candidates each chunk keeps
 
 
 def cases():
