@@ -334,8 +334,9 @@ def chebyshev_gaps(xs, span):
     return [np.max(np.abs(a - b) / span) for a, b in itertools.combinations(xs, 2)]
 
 
-# candidate sets on a coarse grid of the box, with few distinct values, so
-# that near pairs, pairs exactly 0.08 apart and tied values all occur
+# candidate sets on a coarse grid of the box (steps of 0.04 of each span) with
+# few distinct values, so that near pairs, pairs at the separation up to
+# rounding, and tied values all occur
 candidate_sets = st.lists(
     st.tuples(st.integers(0, 25), st.integers(0, 25), st.integers(0, 25), st.integers(-3, 3)),
     min_size=1,
