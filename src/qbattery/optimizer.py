@@ -45,12 +45,15 @@ SEPARABLE = "separable"
 ENTANGLED = "entangled"
 FAMILIES = (SEPARABLE, ENTANGLED)
 
-SAMPLE_CHUNK = 8192  # full chunks are always drawn, so sample i never depends on the budget
+# exploration draws and evaluates this many rows at a time (the last chunk only
+# the rows it uses), and WpEvaluator runs one kernel pass per chunk; sample i is
+# row i of the stream whatever the budget
+SAMPLE_CHUNK = 8192
 CONVERGENCE_WINDOW_TOL = 1e-2  # units of h, over the trailing budget/5 evaluations
 # refinement lattice around each leader, in units of the zoom width
 _LATTICE = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3)))
 _ZOOM_STOP = 1e-9  # refinement ends once the zoom width falls below this fraction of the box
-_BLOCK = 2048  # WpEvaluator points per kernel pass: small temporaries that stay in cache
+_WORK_ROWS = 8  # WpEvaluator workspace rows besides its output: the most a kernel holds at once
 
 
 @dataclass(frozen=True)
@@ -113,22 +116,27 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n parameter vectors drawn as one (n, 3) block from the stream, uniform in the box."""
-    u = rng.random((n, 3))
+def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+    """n parameter vectors drawn as one (n, 3) block from the stream, uniform in the box;
+    drawn into out[:n] and returned as that view when an (m >= n, 3) array out is given,
+    with the same values."""
+    u = rng.random((n, 3)) if out is None else rng.random(out=out[:n])
     u *= space.span
     return u
 
 
-def _sin_cos(x):
-    """sin(x) and cos(x) from u = tan(x/2), as 2u/(1 + u^2) and (1 - u^2)/(1 + u^2):
-    one tangent instead of two scalar-loop calls, since numpy vectorises tan
-    but not sin or cos on x86 (2.4 against 12 ns a point with AVX-512). Both
-    are within a few ulp, tan(x/2) is finite for every finite x (so 1 + u^2
-    cannot overflow), and a non-finite x gives NaN."""
-    u = np.tan(0.5 * x)
-    d = 2.0 / (1.0 + u * u)
-    return u * d, d - 1.0
+def _half_tan(x, u, d):
+    """u = tan(x/2) and d = 2/(1 + u^2), written in place (x may be u), so that
+    sin(x) = u d and cos(x) = d - 1: one tangent instead of two scalar-loop
+    calls, since numpy vectorises tan but not sin or cos on x86 (2.4 against
+    12 ns a point with AVX-512). Both are within a few ulp, tan(x/2) is finite
+    for every finite x (so 1 + u^2 cannot overflow), and a non-finite x gives
+    NaN."""
+    np.multiply(x, 0.5, out=u)  # x/2
+    np.tan(u, out=u)  # u = tan(x/2)
+    np.multiply(u, u, out=d)  # u^2
+    d += 1.0  # 1 + u^2
+    np.divide(2.0, d, out=d)  # d = 2/(1 + u^2)
 
 
 class WpEvaluator:
@@ -142,8 +150,10 @@ class WpEvaluator:
     oracle is), the amplitudes g/W = J/Omega and 2/W = 2h/Omega (at most 1 at
     any scale of h and J) and the energies c/h = (k - 1, k + 1), and it
     multiplies the result by h once at the end. Sines and cosines come from
-    half-angle tangents (_sin_cos): three a point for the separable family,
-    four for the entangled one. With c = cos(theta) and s = sin(theta):
+    half-angle tangents (_half_tan), and each family forms only those it
+    reads: sin(W tau), sin(g tau) and cos(theta) for the separable family,
+    both of W tau, g tau and phi and cos(theta) for the entangled one. With
+    c = cos(theta) and s = sin(theta):
 
     * Separable: with q = (g/W)^2 sin^2(W tau) and r = sin^2(g tau),
           w/h = [c (q - r) + k (q + r)]/2
@@ -166,6 +176,13 @@ class WpEvaluator:
           Im Delta = S sin(g tau) cos(g tau) cos(phi) - C y M.
       No angle is doubled, so nothing overflows before g tau does.
 
+    A call evaluates SAMPLE_CHUNK points per pass, each step one in-place
+    ufunc into the returned array or a workspace of _WORK_ROWS rows that the
+    evaluator allocates once, so the returned array is the only allocation a
+    call makes. One evaluator must therefore not run in two threads at once.
+    Every step is the operation, with the operands in the order, of the
+    formulas above, so the values do not depend on the partition.
+
     Equals protocol.best_outcome at the basis ``best_basis`` returns, and is
     at least its value at any other. A point whose phases leave the
     floating-point range reads -inf.
@@ -176,52 +193,117 @@ class WpEvaluator:
         self.spec = spec
         self._kappa = math.sqrt((1.0 - space.k) * (1.0 + space.k))
         self._flip, self._tilt = spec.J / spec.omega, 2.0 * spec.h / spec.omega  # g/W, 2/W
+        self._work = np.empty((_WORK_ROWS, SAMPLE_CHUNK))
+        self._bad = np.empty(SAMPLE_CHUNK, dtype=bool)
 
     def __call__(self, params) -> np.ndarray:
         p = np.atleast_2d(np.asarray(params, dtype=float))
         if p.shape[1] != len(self.space.span):
             raise ConfigError(f"expected {len(self.space.span)} parameters, got {p.shape[1]}")
-        blocks = range(0, len(p) or 1, _BLOCK)  # an empty batch is one empty block
-        return np.concatenate([self._values(p[i : i + _BLOCK]) for i in blocks])
-
-    def _values(self, p):
-        theta, phi, t = np.ascontiguousarray(p.T)  # contiguous columns: faster ufuncs
-        with np.errstate(over="ignore", invalid="ignore"):
-            sin_w, cos_w = _sin_cos(self.spec.omega * t)
-            sin_j, cos_j = _sin_cos(self.spec.J * t)
-            c = _sin_cos(theta)[1]
-            if self.space.family == SEPARABLE:
-                value = self._separable(c, sin_w, sin_j)
-            else:
-                value = self._entangled(c, *_sin_cos(phi), sin_w, cos_w, sin_j, cos_j)
-            value *= self.spec.h
-        value[~np.isfinite(value)] = -math.inf  # phases past the float range rank below all
+        value = np.empty(len(p))
+        for i in range(0, len(p), SAMPLE_CHUNK):
+            self._values(p[i : i + SAMPLE_CHUNK], value[i : i + SAMPLE_CHUNK])
         return value
 
-    def _separable(self, c, sin_w, sin_j):
-        k = self.space.k
-        q = self._flip * sin_w
-        q *= q
-        r = sin_j * sin_j
-        # c (q - r) + k (q + r) = mq - nr and k (q - r) + c (q + r) = mq + nr
-        mq, nr = (c + k) * q, (c - k) * r
-        root = (mq + nr) ** 2 + 4.0 * ((1.0 - c) * (1.0 + c)) * (q * r)
-        return 0.5 * (mq - nr) + (0.5 * abs(k)) * np.sqrt(root)
+    def _values(self, p, out):
+        theta, phi, t = p.T
+        work = self._work[:, : len(p)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.space.family == SEPARABLE:
+                self._separable(theta, t, work, out)
+            else:
+                self._entangled(theta, phi, t, work, out)
+            out *= self.spec.h
+        bad = np.isfinite(out, out=self._bad[: len(p)])
+        np.logical_not(bad, out=bad)
+        np.copyto(out, -math.inf, where=bad)  # phases past the float range rank below all
 
-    def _entangled(self, c, sin_p, cos_p, sin_w, cos_w, sin_j, cos_j):
+    def _separable(self, theta, t, work, out):
+        k = self.space.k
+        q, r, c, nr, s2 = work[:5]
+        _half_tan(np.multiply(t, self.spec.omega, out=q), q, nr)
+        q *= nr  # sin(W tau)
+        _half_tan(np.multiply(t, self.spec.J, out=r), r, nr)
+        r *= nr  # sin(g tau)
+        _half_tan(theta, nr, c)
+        c -= 1.0  # c = cos(theta)
+        q *= self._flip  # (g/W) sin(W tau)
+        q *= q  # q
+        r *= r  # r
+        # c (q - r) + k (q + r) = mq - nr and k (q - r) + c (q + r) = mq + nr
+        mq = np.add(c, k, out=out)  # c + k
+        mq *= q  # mq = (c + k) q
+        np.subtract(c, k, out=nr)  # c - k
+        nr *= r  # nr = (c - k) r
+        np.subtract(1.0, c, out=s2)  # 1 - c
+        c += 1.0  # 1 + c
+        s2 *= c  # s^2 = (1 - c)(1 + c)
+        s2 *= 4.0  # 4 s^2
+        q *= r  # q r
+        s2 *= q  # 4 s^2 (q r)
+        root = np.add(mq, nr, out=q)  # mq + nr
+        root *= root  # (mq + nr)^2
+        root += s2  # (mq + nr)^2 + 4 s^2 q r
+        mq -= nr  # mq - nr
+        mq *= 0.5  # (mq - nr)/2
+        np.sqrt(root, out=root)  # sqrt(root)
+        root *= 0.5 * abs(k)  # |k| sqrt(root)/2
+        out += root  # w/h = (mq - nr)/2 + |k| sqrt(root)/2
+
+    def _entangled(self, theta, phi, t, work, out):
         k, kappa = self.space.k, self._kappa
-        up = 0.5 + 0.5 * c
-        down = 1.0 - up  # C and S
-        y = self._flip * sin_w
+        up, sin_p, cos_p, sin_w, cos_w, sin_j, cos_j, down = work[:8]
+        _half_tan(np.multiply(t, self.spec.omega, out=sin_w), sin_w, cos_w)
+        sin_w *= cos_w  # sin(W tau)
+        cos_w -= 1.0  # cos(W tau)
+        _half_tan(np.multiply(t, self.spec.J, out=sin_j), sin_j, cos_j)
+        sin_j *= cos_j  # sin(g tau)
+        cos_j -= 1.0  # cos(g tau)
+        _half_tan(phi, sin_p, cos_p)
+        sin_p *= cos_p  # sin(phi)
+        cos_p -= 1.0  # cos(phi)
+        _half_tan(theta, down, up)
+        up -= 1.0  # c = cos(theta)
+        up *= 0.5  # c/2
+        up += 0.5  # C = 1/2 + c/2
+        np.subtract(1.0, up, out=down)  # S = 1 - C
+        y = np.multiply(sin_w, self._flip, out=out)  # y = (g/W) sin(W tau)
         # C y G = sin(phi) alpha - cos(phi) gamma and C y M = cos(phi) alpha + sin(phi) gamma
-        alpha, gamma = up * (y * cos_w), up * (y * (self._tilt * sin_w))
-        beta = down * (sin_j * cos_j)
-        big_x = up * (y * y) + down * (sin_j * sin_j)
-        big_y = sin_p * (alpha + beta) - cos_p * gamma
-        im = cos_p * (beta - alpha) - sin_p * gamma
-        trace = k * big_x - kappa * big_y
-        re = k * big_y + kappa * big_x - 0.5 * kappa
-        return trace + np.sqrt(trace * trace + (kappa * kappa) * (re * re + im * im))
+        cos_w *= y  # y cos(W tau)
+        alpha = np.multiply(cos_w, up, out=cos_w)  # alpha = C (y cos(W tau))
+        sin_w *= self._tilt  # x = (2/W) sin(W tau)
+        sin_w *= y  # y x
+        gamma = np.multiply(sin_w, up, out=sin_w)  # gamma = C (y x)
+        cos_j *= sin_j  # sin(g tau) cos(g tau)
+        beta = np.multiply(cos_j, down, out=cos_j)  # beta = S (sin(g tau) cos(g tau))
+        y *= y  # y^2
+        y *= up  # C y^2
+        sin_j *= sin_j  # sin^2(g tau)
+        sin_j *= down  # S sin^2(g tau)
+        big_x = np.add(y, sin_j, out=y)  # X = C y^2 + S sin^2(g tau)
+        big_y = np.add(alpha, beta, out=up)  # alpha + beta
+        big_y *= sin_p  # sin(phi) (alpha + beta)
+        np.multiply(cos_p, gamma, out=down)  # cos(phi) gamma
+        big_y -= down  # Y = sin(phi) (alpha + beta) - cos(phi) gamma
+        im = np.subtract(beta, alpha, out=alpha)  # beta - alpha
+        im *= cos_p  # cos(phi) (beta - alpha)
+        gamma *= sin_p  # sin(phi) gamma
+        im -= gamma  # Im Delta = cos(phi) (beta - alpha) - sin(phi) gamma
+        trace = np.multiply(big_x, k, out=down)  # k X
+        np.multiply(big_y, kappa, out=sin_j)  # kappa Y
+        trace -= sin_j  # T = k X - kappa Y
+        big_x *= kappa  # kappa X
+        re = np.multiply(big_y, k, out=big_y)  # k Y
+        re += big_x  # k Y + kappa X
+        re -= 0.5 * kappa  # Re Delta = k Y + kappa X - kappa/2
+        re *= re  # Re^2
+        im *= im  # Im^2
+        re += im  # |Delta|^2 = Re^2 + Im^2
+        re *= kappa * kappa  # kappa^2 |Delta|^2
+        np.multiply(trace, trace, out=sin_j)  # T^2
+        sin_j += re  # T^2 + kappa^2 |Delta|^2
+        np.sqrt(sin_j, out=sin_j)  # sqrt(T^2 + kappa^2 |Delta|^2)
+        np.add(trace, sin_j, out=out)  # w/h = T + sqrt(T^2 + kappa^2 |Delta|^2)
 
     def best_basis(self, params) -> MeasurementBasis:
         """Basis whose outcome 0 is the top eigenvector of A at one parameter
@@ -273,14 +355,18 @@ def optimize(
     pool_x, pool_f = [], []  # each chunk's 4 * _LEADERBOARD_SIZE best points and values
 
     n_explore = max(1, (4 * budget) // 5)
+    # every chunk is drawn into one buffer: a fresh 8192 x 3 block a chunk is
+    # mapped and page-faulted anew
+    draws = np.empty((min(SAMPLE_CHUNK, n_explore), 3))
     for used in range(0, n_explore, SAMPLE_CHUNK):
-        pts = sample_batch(space, rng, SAMPLE_CHUNK)[: n_explore - used]
+        pts = sample_batch(space, rng, min(SAMPLE_CHUNK, n_explore - used), draws)
         vals = evaluator(pts)
-        running = np.maximum.accumulate(np.concatenate(([best], vals)))  # best before each sample
-        for j in np.flatnonzero(vals > running[:-1]):
-            best = float(vals[j])
-            best_x = pts[j].copy()
-            trace.append((used + j + 1, best))
+        if vals.max() > best:  # else no sample of this chunk rises
+            running = np.maximum.accumulate(np.concatenate(([best], vals)))  # best before each
+            for j in np.flatnonzero(vals > running[:-1]):
+                best = float(vals[j])
+                best_x = pts[j].copy()
+                trace.append((used + j + 1, best))
         first = max(len(vals) - 4 * _LEADERBOARD_SIZE, 0)
         top = np.argpartition(vals, first)[first:]
         pool_x.append(pts[top])
