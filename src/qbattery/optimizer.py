@@ -193,7 +193,10 @@ class WpEvaluator:
         self.spec = spec
         self._kappa = math.sqrt((1.0 - space.k) * (1.0 + space.k))
         self._flip, self._tilt = spec.J / spec.omega, 2.0 * spec.h / spec.omega  # g/W, 2/W
-        self._work = np.empty((_WORK_ROWS, SAMPLE_CHUNK))
+        # one 64 KiB array a row: blocks this small come from the C heap and are
+        # reused from one evaluator to the next, where one 512 KiB block would
+        # be mapped afresh, and page-faulted, for each evaluator
+        self._work = [np.empty(SAMPLE_CHUNK) for _ in range(_WORK_ROWS)]
         self._bad = np.empty(SAMPLE_CHUNK, dtype=bool)
 
     def __call__(self, params) -> np.ndarray:
@@ -207,7 +210,7 @@ class WpEvaluator:
 
     def _values(self, p, out):
         theta, phi, t = p.T
-        work = self._work[:, : len(p)]
+        work = [row[: len(p)] for row in self._work]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.space.family == SEPARABLE:
                 self._separable(theta, t, work, out)
