@@ -83,6 +83,15 @@ def environment() -> dict:
             "nproc": nproc, "cpu_model": model, "cpu_simd_flags": flags}
 
 
+def compare(base: dict, new: dict) -> dict:
+    """Seeds the new side won (lower is better for both metrics, ties count for
+    neither), the relative change of the medians, and the base's quartile spread."""
+    wins = sum(n < b for b, n in zip(base["runs"], new["runs"]))
+    return {"new_won": wins, "of": len(base["runs"]),
+            "median_change": new["median"] / base["median"] - 1.0,
+            "base_iqr": base["q3"] - base["q1"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH JSON file to write")
@@ -121,7 +130,7 @@ def main(argv=None) -> int:
         (base, _), (new, _) = args.checkouts
         record["comparison"] = {
             "base": base, "new": new,
-            "workloads": {w: {m: _compare(sides[base]["workloads"][w][m],
+            "workloads": {w: {m: compare(sides[base]["workloads"][w][m],
                                           sides[new]["workloads"][w][m]) for m in METRICS}
                           for w in workloads},
         }
@@ -129,15 +138,6 @@ def main(argv=None) -> int:
         json.dump(record, f, indent=1)
         f.write("\n")
     return 0
-
-
-def _compare(base: dict, new: dict) -> dict:
-    """Seeds the new side won (lower is better for both metrics, ties count for
-    neither), the relative change of the medians, and the base's quartile spread."""
-    wins = sum(n < b for b, n in zip(base["runs"], new["runs"]))
-    return {"new_won": wins, "of": len(base["runs"]),
-            "median_change": new["median"] / base["median"] - 1.0,
-            "base_iqr": base["q3"] - base["q1"]}
 
 
 if __name__ == "__main__":
