@@ -116,11 +116,9 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
-    """n parameter vectors drawn as one (n, 3) block from the stream, uniform in the box;
-    drawn into out[:n] and returned as that view when an (m >= n, 3) array out is given,
-    with the same values."""
-    u = rng.random((n, 3)) if out is None else rng.random(out=out[:n])
+def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n parameter vectors drawn as one (n, 3) block from the stream, uniform in the box."""
+    u = rng.random((n, 3))
     u *= space.span
     return u
 
@@ -358,11 +356,8 @@ def optimize(
     pool_x, pool_f = [], []  # each chunk's 4 * _LEADERBOARD_SIZE best points and values
 
     n_explore = max(1, (4 * budget) // 5)
-    # every chunk is drawn into one buffer: a fresh 8192 x 3 block a chunk is
-    # mapped and page-faulted anew
-    draws = np.empty((min(SAMPLE_CHUNK, n_explore), 3))
     for used in range(0, n_explore, SAMPLE_CHUNK):
-        pts = sample_batch(space, rng, min(SAMPLE_CHUNK, n_explore - used), draws)
+        pts = sample_batch(space, rng, min(SAMPLE_CHUNK, n_explore - used))
         vals = evaluator(pts)
         if vals.max() > best:  # else no sample of this chunk rises
             running = np.maximum.accumulate(np.concatenate(([best], vals)))  # best before each

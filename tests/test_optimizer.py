@@ -81,13 +81,6 @@ class TestSampling:
         second = sample_batch(space, make_rng(31), 10)
         assert np.array_equal(first, second)
 
-    def test_drawing_into_a_buffer_gives_the_same_points(self):
-        space = SearchSpace("entangled", 0.2, t_max=4.0)
-        buffer = np.full((50, 3), np.nan)
-        drawn = sample_batch(space, make_rng(31), 17, buffer)
-        assert np.shares_memory(drawn, buffer) and drawn.shape == (17, 3)
-        assert np.array_equal(drawn, sample_batch(space, make_rng(31), 17))
-
     def test_batches_stay_inside_bounds(self):
         for family in FAMILIES:
             space = SearchSpace(family, -0.4, t_max=3.0)
