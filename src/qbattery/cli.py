@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -38,7 +37,10 @@ MAX_PHASE_ULP = 1e-6  # rad
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (the flags given over the defaults)."""
+    """Resolved run configuration (the flags given over the defaults).
+
+    argparse types every flag, so the fields arrive typed; this class checks
+    only their ranges, which reject values the user typed."""
 
     h: float = 1.0
     J: float | None = None
@@ -52,16 +54,6 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("k_points", "budget", "seed", "threads"):
-            value = getattr(self, name)
-            if not (_is_int(value) or (name == "threads" and value is None)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("h", "J", "k_min", "k_max", "t_max"):
-            value = getattr(self, name)
-            if not (_is_real(value) or (name == "J" and value is None)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not (self.out is None or isinstance(self.out, str)):
-            raise ConfigError(f"out must be a string, got {self.out!r}")
         if self.k_points < 1:
             raise ConfigError(f"k_points must be at least 1, got {self.k_points}")
         if self.k_points > analytic.MAX_GRID_POINTS:
@@ -81,14 +73,6 @@ class RunConfig:
 
     def k_grid(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.k_points)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _fmt(x: float) -> str:
@@ -175,7 +159,7 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
             for (ku, vu, *_), (_, vs, *_) in zip(unitary, stochastic)
         ]
         _write_csv(out, "k,diff", rows)
-    elif which == "fig3":
+    else:
         out = cfg.out or "inset_fig3.csv"
         separable = sweep_values("separable", cfg)
         entangled = sweep_values("entangled", cfg)
@@ -188,8 +172,6 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
             for (k, vs, *_), (_, ve, *_) in zip(separable, entangled)
         ]
         _write_csv(out, "entropy_ebits,diff,k_sign", rows)
-    else:
-        raise ConfigError(f"unknown inset {which!r}")
     print(f"wrote {len(rows)} rows to {out} (energy in h)")
     if plot_script:
         _emit_plot_script(plot_script, out, x="entropy_ebits" if which == "fig3" else "k", y="diff", title=f"inset {which}")
@@ -320,9 +302,7 @@ def main(argv=None) -> int:
             return cmd_inset(args.which, cfg, args.plot_script)
         if args.command == "verify":
             return cmd_verify(cfg)
-        if args.command == "mps":
-            return cmd_mps(cfg, args.grid_n, args.t_probe, args.plot_script)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_mps(cfg, args.grid_n, args.t_probe, args.plot_script)
     except (ConfigError, DomainError, MemoryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,6 +6,7 @@ grid and default per-point budget; the module takes about 5 s on a
 see one summary line per criterion.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -27,10 +28,31 @@ from qbattery.protocol import Z_BASIS, MeasurementBasis, run_protocol, separable
 
 SPEC = HamiltonianSpec()  # h=1, J=2h, hbar=1 throughout
 
+# sha256 of the default outputs, the same on numpy's AVX-512 and scalar tan
+# paths. A change that moves an output on purpose re-records its digest here
+# (``sha256sum`` of the CSV the job writes) and names it in CHANGES.md.
+SWEEP_DIGESTS = {
+    "unitary": "b26d898f51fafcd0f88539742ed1748fb05154ef87c009c9adea20a748998a9e",
+    "separable": "6798202b49649074549b27b1ab31d3f85a076153448ad12c0af5405221a768a9",
+    "entangled": "4322390d5eec533e9e85cfe6259b75e064e731813045648a54a8979f66543644",
+}
+JOB_DIGESTS = {
+    ("mps", "--grid-n", "101"):
+        "3fe061fca074a36cf62ad2c290568db1c77bd9cf4e6967c2dc693c02eff91514",
+    ("inset", "fig2", "--k-points", "9", "--budget", "20000"):
+        "70a09ecae4a1dadfa0ec9535a76188de3bf7e024f4d35e9402b2f17972879cc8",
+    ("inset", "fig3", "--k-points", "9", "--budget", "20000"):
+        "209251980589caf5b2f46d48249a24d3dbb033b3630d28af81f9e443f8f3dda4",
+}
+
 
 def read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def sweep_column(path, column=1):
@@ -203,3 +225,15 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         assert main([*job, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
     print("criterion 10 PASS: sweep, inset and mps reruns are byte-identical")
+
+
+@pytest.mark.parametrize("family", SWEEP_DIGESTS)
+def test_default_sweep_csv_digest(sweeps, family):
+    assert sha256(sweeps["paths"][family]) == SWEEP_DIGESTS[family]
+
+
+@pytest.mark.parametrize("job", JOB_DIGESTS, ids=" ".join)
+def test_output_csv_digest(tmp_path, job):
+    out = tmp_path / "out.csv"
+    assert main([*job, "--out", str(out)]) == 0
+    assert sha256(out) == JOB_DIGESTS[job]

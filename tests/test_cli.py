@@ -41,15 +41,6 @@ class TestRunConfig:
             {"budget": 0},
             {"t_max": 0.0},
             {"threads": 0},
-            {"k_points": "5"},
-            {"budget": 2.5},
-            {"seed": True},
-            {"threads": 2.0},
-            {"h": "1"},
-            {"J": False},
-            {"k_min": None},
-            {"t_max": [10]},
-            {"out": 5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
