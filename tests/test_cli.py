@@ -47,6 +47,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("flag", ["--h", "--J", "--k-min", "--k-max"])
+    def test_non_numeric_flag_exits_2_before_run_config(self, tmp_path, capsys, flag):
+        # RunConfig checks only ranges; argparse types the real-valued flags
+        out = tmp_path / "s.csv"
+        assert exit_code(["sweep", "separable", flag, "one", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid float value: 'one'" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def exit_code(argv):
     """main's exit code, whether it returns it or argparse raises SystemExit."""
