@@ -11,7 +11,9 @@ whenever the two disagree.
 
 The passivity scan is the reference closed form evaluated on the whole
 Bloch grid at the probe time, plus the excited-battery drain closed form
-on the fully excited state: a few grid-sized array operations. The verify
+on the fully excited state: a few grid-sized array operations. A point is
+passive exactly when its value is not positive; mps_scan proves that only
+the ground state qualifies for J != 0. The verify
 suites hold both closed forms to run_protocol, the stacked brute-force
 oracle. Every function here that takes s, theta or t also takes arrays of
 them.
@@ -25,16 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import BlochVector, HamiltonianSpec, bloch_state, check_population_bias
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .protocol import Z_BASIS, run_protocol
 from . import qmath
 
-# Scan defaults. The probe time must sit where the closed-form w_p is
-# positive but small; 0.1/h keeps the weakest on-grid signal of a 101x101
-# scan about 25x above the extractability threshold. Past J = sqrt(21) h the
-# default shortens to 0.5/Omega, inside the window t < 1/Omega.
+# Default probe time, in units of 1/h; perfbench and the pinned `mps` digest
+# read the scan at 0.1/h. Past J = sqrt(21) h the default shortens to
+# 0.5/Omega, inside the window t < 1/Omega.
 DEFAULT_T_PROBE = 0.1
-EXTRACTABLE_THRESHOLD = 1e-8
 # the most float64 elements one numpy array can describe; beyond it numpy
 # raises ValueError or IndexError, not MemoryError
 MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
@@ -105,33 +105,39 @@ def wp_excited_sine_variant(spec: HamiltonianSpec, t):
 
 
 def excited_quarter_period(spec: HamiltonianSpec) -> float:
-    """Time of the first extraction maximum for the excited-battery drain."""
-    return math.pi / (2.0 * spec.omega)
+    """Time of the first extraction maximum for the excited-battery drain.
+    Halving pi, not doubling Omega, keeps it non-zero where 2 Omega overflows."""
+    return 0.5 * math.pi / spec.omega
 
 
-def entanglement_entropy(k: float) -> float:
+def entanglement_entropy(k):
     """Entanglement entropy, in ebits, of the Schmidt-form joint pure state.
 
-    Binary entropy of (1+k)/2 in base 2, with 0*log(0) = 0.
+    Binary entropy of (1+k)/2 in base 2, with 0*log(0) = 0. k may be an
+    array; a number gives a numpy float.
     """
     check_population_bias(k)
-    total = 0.0
-    for p in ((1.0 + k) / 2.0, (1.0 - k) / 2.0):
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+    k = np.asarray(k, dtype=float)
+    p = np.stack([(1.0 + k) / 2.0, (1.0 - k) / 2.0])
+    # log2(1) = 0 stands in for log2(0), so an empty level adds exactly 0
+    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
+    return 0.0 - terms[0] - terms[1]
 
 
 @dataclass(frozen=True)
 class MpsScanReport:
-    """Per-point extraction maxima and passivity verdicts on a Bloch grid."""
+    """Per-point extraction maxima on a Bloch grid, and the passivity
+    verdicts they decide."""
 
     s_grid: np.ndarray
     theta_grid: np.ndarray
     max_wp: np.ndarray  # shape (len(s_grid), len(theta_grid))
-    passive: np.ndarray  # boolean, same shape
-    threshold: float
     t_probe: float
+
+    @property
+    def passive(self) -> np.ndarray:
+        """Boolean grid: True where no probe extracts anything, max_wp <= 0."""
+        return self.max_wp <= 0.0
 
     @property
     def passive_count(self) -> int:
@@ -148,13 +154,27 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
     """Scan battery states (s, theta) for measurement passivity.
 
     Each grid point scores the reference protocol at the probe time, as
-    wp_closed_form evaluated on the whole grid at once; points where the
-    battery is the fully excited state also score the excited-battery
-    drain at its quarter period, as wp_excited_closed_form. A point is
-    passive when every probe stays at or below the threshold; on the
-    default regime only the ground state (s=1, theta=pi) qualifies.
-    t_probe defaults to min(DEFAULT_T_PROBE/h, 0.5/Omega). Memory grows as a
-    few grid_n^2 floats.
+    wp_closed_form evaluated on the whole grid at once; the fully excited
+    corner (s=1, theta=0) also scores the excited-battery drain at its
+    quarter period, as wp_excited_closed_form. A point is passive exactly
+    when its score is <= 0. That sign is exact, with no threshold:
+
+    - For J != 0 and 0 < Omega t <= pi, the bracket of wp_closed_form,
+      (J/Omega)^2 sin^2(Omega t) - sin^2(J t) = J^2 t^2 [sinc^2(Omega t) -
+      sinc^2(J t)], is < 0: sinc is positive and strictly decreasing on
+      (0, pi), and |J| < Omega. The probe window t < 1/Omega lies inside.
+    - The factor (-1 + s^2 cos^2 theta) is < 0 everywhere except at the two
+      poles s=1, theta in {0, pi}, where it is 0; so w_p > 0 off the poles.
+    - The excited pole drains 2h(J/Omega)^2 > 0.
+
+    So for J != 0 only the ground state (s=1, theta=pi) is passive. At J = 0
+    every w_p is exactly 0 and every point is passive. Where J != 0 and
+    rounding leaves a point off the poles at or below 0 (the bracket cancels
+    from |J| of about 3e7 h on; products underflow below |J| of about
+    1e-157 h), the probe cannot resolve the sign and DomainError is raised.
+
+    t_probe defaults to min(DEFAULT_T_PROBE/h, 0.5/Omega). Memory grows as
+    a few grid_n^2 floats.
     """
     if grid_n < 2:
         raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
@@ -166,15 +186,17 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
     # omega >= 2h, |J|, so omega t < 1 bounds every phase of the probe
     if not 0.0 < t_probe < 1.0 / spec.omega:
         raise ConfigError(f"t_probe {t_probe} outside the small-time probe window")
-    threshold = EXTRACTABLE_THRESHOLD * spec.h
 
     s_grid = np.linspace(0.0, 1.0, grid_n)
     theta_grid = np.linspace(0.0, math.pi, grid_n)
     max_wp = spec.h * wp_closed_form(s_grid[:, None], theta_grid, spec, t_probe)
-    excited = np.outer(s_grid, np.cos(theta_grid)) >= 1.0 - 1e-12
-    drain_peak = wp_excited_closed_form(spec, excited_quarter_period(spec))
-    max_wp[excited] = np.maximum(max_wp[excited], drain_peak)
-    return MpsScanReport(s_grid, theta_grid, max_wp, max_wp <= threshold, threshold, t_probe)
+    # both poles score exactly 0; by the proof above any further point at or below 0 is rounding
+    if spec.J != 0.0 and np.count_nonzero(max_wp <= 0.0) > 2:
+        raise DomainError(f"rounding hides the sign of w_p at the probe for h={spec.h}, "
+                          f"J={spec.J}: the scan cannot tell passive points")
+    # the probe scores exactly 0 at the excited corner; the drain is its maximum
+    max_wp[-1, 0] = wp_excited_closed_form(spec, excited_quarter_period(spec))
+    return MpsScanReport(s_grid, theta_grid, max_wp, t_probe)
 
 
 def separable_initial_bloch(s, theta) -> np.ndarray:

@@ -18,11 +18,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import analytic
+from . import analytic, verify
 from .battery import HamiltonianSpec, battery_state, ergotropy
 from .errors import ConfigError, DomainError
 from .optimizer import FAMILIES, SearchSpace, derive_seed, optimize
-from .verify import run_suites
 
 DEFAULT_SEED = 123456789
 DEFAULT_BUDGET = 200_000
@@ -110,9 +109,8 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
     ks = cfg.k_grid()
     spec = cfg.spec()
     if family == "unitary":
-        return [
-            (float(k), ergotropy(battery_state(k), spec) / spec.h, True, 0, cfg.seed) for k in ks
-        ]
+        values = ergotropy(battery_state(ks), spec) / spec.h
+        return [(float(k), float(v), True, 0, cfg.seed) for k, v in zip(ks, values)]
     t_max = _resolved_window(spec, cfg.t_max)
     tasks = [
         (SearchSpace(family, float(k), t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
@@ -163,13 +161,10 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
         out = cfg.out or "inset_fig3.csv"
         separable = sweep_values("separable", cfg)
         entangled = sweep_values("entangled", cfg)
+        entropy = analytic.entanglement_entropy(cfg.k_grid())
         rows = [
-            (
-                _fmt(analytic.entanglement_entropy(k)),
-                _fmt(ve - vs),
-                _fmt(float(np.sign(k))),
-            )
-            for (k, vs, *_), (_, ve, *_) in zip(separable, entangled)
+            (_fmt(e), _fmt(ve - vs), _fmt(float(np.sign(k))))
+            for e, (k, vs, *_), (_, ve, *_) in zip(entropy, separable, entangled)
         ]
         _write_csv(out, "entropy_ebits,diff,k_sign", rows)
     print(f"wrote {len(rows)} rows to {out} (energy in h)")
@@ -180,8 +175,8 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
 
 def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    _resolved_window(spec, 10.0)  # the suites draw times in [0, 10/h]
-    results = run_suites(spec, cfg.seed)
+    _resolved_window(spec, verify.WINDOW)
+    results = verify.run_suites(spec, cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -45,6 +45,8 @@ from .protocol import (
     separable_initial,
 )
 
+# every suite draws its times in [0, WINDOW / h], WINDOW in units of 1/h
+WINDOW = 10.0
 CLOSED_FORM_TOL = 1e-9
 # known-optimum band of a searched w_p, in units of h
 OPTIMUM_FLOOR_TOL = 1e-12
@@ -100,7 +102,7 @@ def suite_operator_algebra(spec: HamiltonianSpec, rng) -> SuiteResult:
         values, vectors = qmath.hermitian_eig(m)
         residuals.append(_norms((vectors * values[:, None, :]) @ _dagger(vectors) - m))
         residuals.append(_norms(_dagger(vectors) @ vectors - np.eye(dim)))
-    t1, t2 = 10.0 / spec.h * rng.random((2, 25))
+    t1, t2 = WINDOW / spec.h * rng.random((2, 25))
     times = np.stack([t1, t2, t1 + t2])
     u1, u2, u12 = evolved = qmath.evolve(hamiltonian_joint(spec), times)
     residuals.append(_norms(u1 @ u2 - u12))
@@ -145,7 +147,7 @@ def suite_measurement_protocol(spec: HamiltonianSpec, rng) -> SuiteResult:
     product = separable_initial(k, BlochVector(rng.random(n), polar, azimuth))
     entangled = entangled_initial(EntangledInitParams(k, polar, azimuth))
     rho0 = np.where((rng.random(n) < 0.5)[:, None, None], product, entangled)
-    t = 10.0 / h * rng.random(n)
+    t = WINDOW / h * rng.random(n)
     basis = _random_basis(rng, n)
     both = run_protocol(rho0, spec, t, basis, BOTH_OUTCOMES)
     u = joint_unitary(spec, t)
@@ -165,14 +167,14 @@ def suite_measurement_protocol(spec: HamiltonianSpec, rng) -> SuiteResult:
     residuals.append(np.abs(run_protocol(rho0, spec, 0.0, aligned, BOTH_OUTCOMES).delta_e) / h)
     # a battery starting in the ground state can only gain energy
     ground = separable_initial(-1.0, BlochVector(1.0, 0.3, 0.4))
-    t = 10.0 / h * rng.random(50)
+    t = WINDOW / h * rng.random(50)
     residuals.append(run_protocol(ground, spec, t, _random_basis(rng, 50), BOTH_OUTCOMES).w_p / h)
     return _result("measurement-protocol", _worst(*residuals), 1e-10, "energies in units of h")
 
 
 def suite_closed_form(spec: HamiltonianSpec, rng) -> SuiteResult:
     n = 1000
-    s, theta, t = rng.random(n), math.pi * rng.random(n), 10.0 / spec.h * rng.random(n)
+    s, theta, t = rng.random(n), math.pi * rng.random(n), WINDOW / spec.h * rng.random(n)
     oracle = run_protocol(analytic.separable_initial_bloch(s, theta), spec, t, Z_BASIS, 1).w_p
     residual = np.abs(oracle / spec.h - analytic.wp_closed_form(s, theta, spec, t))
     note = "w_p compared in units of h"
@@ -216,14 +218,14 @@ def suite_excited_drain(spec: HamiltonianSpec) -> SuiteResult:
 
 def suite_entropy() -> SuiteResult:
     grid = np.linspace(-1.0, 1.0, 201)
-    values = np.array([analytic.entanglement_entropy(k) for k in grid])
+    values = analytic.entanglement_entropy(grid)
     odd = np.arange(0.1, 1.0, 0.1)
     worst = _worst(
         np.maximum(values - 1.0, -values),
         abs(analytic.entanglement_entropy(0.0) - 1.0),
         abs(analytic.entanglement_entropy(1.0)),
         abs(analytic.entanglement_entropy(-1.0)),
-        [abs(analytic.entanglement_entropy(k) - analytic.entanglement_entropy(-k)) for k in odd],
+        np.abs(analytic.entanglement_entropy(odd) - analytic.entanglement_entropy(-odd)),
         # discrete midpoint concavity
         0.5 * (values[:-2] + values[2:]) - values[1:-1],
     )
@@ -234,7 +236,7 @@ def suite_zero_coupling_pointwise(spec: HamiltonianSpec, rng) -> SuiteResult:
     decoupled, n = HamiltonianSpec(spec.h, 0.0), 200
     rho0 = separable_initial(2.0 * rng.random(n) - 1.0, _random_aux(rng, n))
     basis = _random_basis(rng, n)
-    t = 10.0 / spec.h * rng.random(n)
+    t = WINDOW / spec.h * rng.random(n)
     w_p = run_protocol(rho0, decoupled, t, basis, BOTH_OUTCOMES).w_p
     note = "product initial states, J=0"
     return _result("zero-coupling-pointwise", _worst(np.abs(w_p) / spec.h), 1e-12, note)
@@ -242,7 +244,7 @@ def suite_zero_coupling_pointwise(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 def suite_zero_coupling_optimized(spec: HamiltonianSpec, seed: int) -> SuiteResult:
     decoupled = HamiltonianSpec(spec.h, 0.0)
-    space = SearchSpace(family="separable", k=0.0, t_max=10.0 / spec.h)
+    space = SearchSpace(family="separable", k=0.0, t_max=WINDOW / spec.h)
     report = optimize(space, decoupled, budget=2000, seed=seed)
     residual = abs(report.best_value) / spec.h
     return _result("zero-coupling-optimized", residual, 1e-2, "w_p in units of h")
@@ -271,7 +273,7 @@ def suite_optimum_bound(spec: HamiltonianSpec, seed: int) -> SuiteResult:
     excess = []
     cases = itertools.product(FAMILIES, (-0.5, 0.5))
     for i, (family, k) in enumerate(cases):
-        space = SearchSpace(family, k, t_max=10.0 / h)
+        space = SearchSpace(family, k, t_max=WINDOW / h)
         value = optimize(space, spec, budget=2000, seed=derive_seed(seed, i)).best_value
         ceiling = h * (1.0 + k) + OPTIMUM_CEILING_TOL * h
         excess += [-OPTIMUM_FLOOR_TOL * h - value, value - ceiling]

@@ -166,9 +166,27 @@ class TestEntanglementEntropy:
         midpoint_gap = 0.5 * (values[:-2] + values[2:]) - values[1:-1]
         assert np.max(midpoint_gap) < 1e-12
 
+    def test_stack_matches_a_math_log2_loop(self):
+        # the loop the stacked form replaced; np.log2 and math.log2 may differ by an ulp
+        def scalar(k):
+            total = 0.0
+            for p in ((1.0 + k) / 2.0, (1.0 - k) / 2.0):
+                if p > 0.0:
+                    total -= p * math.log2(p)
+            return total
+
+        for n in (9, 81, 201, 10001):
+            grid = np.linspace(-1.0, 1.0, n)
+            stacked = entanglement_entropy(grid)
+            assert np.array_equal(stacked, [entanglement_entropy(k) for k in grid])
+            np.testing.assert_allclose(stacked, [scalar(k) for k in grid], rtol=0, atol=4.5e-16)
+        assert not np.any(np.signbit(entanglement_entropy(np.array([-1.0, 1.0]))))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             entanglement_entropy(1.0001)
+        with pytest.raises(DomainError):
+            entanglement_entropy(np.array([0.5, -1.0001]))
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
@@ -184,19 +202,33 @@ class TestMpsScan:
     def test_interior_point_extractable(self):
         report = mps_scan(5, SPEC)
         # s=0.5, theta=pi/4 sits on the 5x5 grid and must show a signal
-        assert report.max_wp[2, 1] > report.threshold
+        assert report.max_wp[2, 1] > 0.0 and not report.passive[2, 1]
 
     def test_excited_state_rescued_by_drain_protocol(self):
         report = mps_scan(11, SPEC)
         assert not report.passive[10, 0]
         assert report.max_wp[10, 0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_probe_signal_well_clear_of_threshold(self):
-        # weakest nonzero point of the 101-grid pattern: s=1, theta one step
-        # off the pole; the probe must beat the threshold with margin
-        report = mps_scan(101, SPEC)
-        nonzero = report.max_wp[report.max_wp > 0.0]
-        assert nonzero.min() > 10.0 * report.threshold
+    @pytest.mark.parametrize("j", [0.1, -0.3, 64.0, 1000.0, 1e4, 1e7])
+    def test_sign_rule_leaves_only_the_ground_state(self, j):
+        # w_p > 0 off the poles for every J != 0, however weak the signal
+        report = mps_scan(101, HamiltonianSpec(1.0, j))
+        assert report.passive_points() == [(1.0, math.pi)]
+        assert np.array_equal(report.passive, report.max_wp <= 0.0)
+
+    @pytest.mark.parametrize("h, j", [(1.0, 1e8), (1.0, -1e9), (1.0, 3e-159), (3.0, 3e-160)])
+    def test_unresolved_sign_raises(self, h, j):
+        # the bracket cancels at large J/h and underflows at tiny J/h; at
+        # J/h = 3e-159 only points near the poles underflow, not s = 0
+        with pytest.raises(DomainError, match=f"h={h!r}, J={j!r}"):
+            mps_scan(101, HamiltonianSpec(h, j))
+
+    def test_excited_drain_survives_where_two_omega_overflows(self):
+        # 2 Omega overflows to inf here; the drain must still be timed at pi/(2 Omega)
+        h = 10.0**306.5
+        spec = HamiltonianSpec(h, 50.0 * h)
+        assert excited_quarter_period(spec) > 0.0
+        assert mps_scan(101, spec).passive_points() == [(1.0, math.pi)]
 
     def test_nothing_is_extractable_without_coupling(self):
         # w_p is exactly 0 at J = 0, not a rounding residue of either sign
@@ -262,7 +294,10 @@ class TestBatchedScanMatchesOracle:
         assert np.max(np.abs(report.max_wp - expected)) <= 1e-12 * h
         # the probe signal is at most about 3e-4 h, so also compare relatively
         np.testing.assert_allclose(report.max_wp, expected, rtol=1e-9, atol=1e-15 * h)
-        assert np.array_equal(report.passive, expected <= report.threshold)
+        # the pole set, not the oracle's sign: its ground-state w_p is rounding noise
+        poles = np.zeros_like(report.passive)
+        poles[-1, -1] = True
+        assert np.array_equal(report.passive, poles if j != 0.0 else np.ones_like(poles))
 
     def test_peak_memory_stays_on_the_grid_scale(self):
         # one (301^2, 4, 4) complex stack alone would take 23 MB

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qbattery.battery import HamiltonianSpec
+from qbattery.battery import HamiltonianSpec, battery_state, ergotropy
 from qbattery.cli import RunConfig, build_parser, cmd_verify, main, resolve_config, sweep_values
 from qbattery.errors import ConfigError
 from qbattery import analytic, verify
@@ -403,12 +403,18 @@ class TestVerify:
         assert err.count("error:") == 1 and err.startswith("error: the phase Omega*t_max")
         assert f"h={float(h)!r}, J={float(j)!r}, t_max=10.0" in err
 
+    @pytest.mark.parametrize("h, j", [("1", "1000"), ("3", "0.001")])
+    def test_scan_suite_passes_far_from_unit_coupling(self, capsys, h, j):
+        # small-t-quartic may still fail here; the passivity scan must not
+        main(["verify", "--h", h, "--J", j])
+        assert "PASS mps-scan" in capsys.readouterr().out
+
     @pytest.mark.parametrize("j", ["10", "20"])
     def test_strong_coupling_passes(self, capsys, j):
         # the default probe time 0.1/h leaves the scan's window t < 1/Omega here
         assert main(["verify", "--J", j]) == 0
         out = capsys.readouterr().out
-        assert "11/11 suites passed" in out and "passive points: 1" in out
+        assert "11/11 suites passed" in out and "(passive points: 1)" in out
 
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0
@@ -422,7 +428,7 @@ class TestMps:
         out = tmp_path / "mps.csv"
         assert main(["mps", "--grid-n", "11", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "passive points: 1" in printed
+        assert "passive points: 1\n" in printed
         header, rows = read_csv(out)
         assert header == ["s", "theta", "max_wp", "verdict"]
         assert len(rows) == 121
@@ -451,11 +457,21 @@ class TestMps:
         assert main(["mps", "--grid-n", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("j", ["10", "50"])
+    @pytest.mark.parametrize("j", ["10", "50", "0.1", "-0.3", "64", "1000", "1e4", "1e7"])
     def test_strong_coupling_scan_finds_only_the_ground_state(self, tmp_path, capsys, j):
+        # and at weak coupling: the sign of w_p, not a threshold, decides passivity
         out = tmp_path / "mps.csv"
-        assert main(["mps", "--J", j, "--grid-n", "21", "--out", str(out)]) == 0
-        assert "passive points: 1" in capsys.readouterr().out
+        assert main(["mps", "--J", j, "--grid-n", "101", "--out", str(out)]) == 0
+        assert "passive points: 1\n" in capsys.readouterr().out
+
+    def test_unresolved_sign_exits_2_naming_h_and_j(self, tmp_path, capsys):
+        # the probe's bracket cancels to rounding noise at J = 1e8 h
+        out = tmp_path / "mps.csv"
+        assert main(["mps", "--J", "1e8", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and "h=1.0, J=100000000.0" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid_n", [2**62, 2**63 - 1, 2**64])
     def test_grid_numpy_cannot_describe_exits_2(self, tmp_path, capsys, grid_n):
@@ -528,6 +544,13 @@ class TestSweepValues:
                      "--out", str(out)]) == 0
         assert pool_sizes == ([] if threads == 1 else [3])
         assert len(read_csv(out)[1]) == 5
+
+    @pytest.mark.parametrize("h", [1.0, 2.0, 0.37, 1e200, 1e-200])
+    def test_unitary_stack_matches_a_per_k_loop(self, h):
+        cfg = RunConfig(h=h, k_points=81)
+        spec = cfg.spec()
+        loop = [ergotropy(battery_state(k), spec) / h for k in cfg.k_grid()]
+        assert [v for _, v, *_ in sweep_values("unitary", cfg)] == loop
 
     def test_unitary_is_exact_and_instant(self):
         values = sweep_values("unitary", RunConfig())
