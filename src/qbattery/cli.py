@@ -74,17 +74,6 @@ class RunConfig:
         return np.linspace(self.k_min, self.k_max, self.k_points)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
-
-
 def _resolved_window(spec: HamiltonianSpec, t_max: float) -> float:
     """The time window t_max (in 1/h) in absolute units, once the phase
     Omega*t_max is known to resolve: one ulp of it must stay below MAX_PHASE_ULP."""
@@ -132,44 +121,26 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
     ]
 
 
-def _sweep_rows(values):
-    for k, value, converged, samples, seed in values:
-        yield (_fmt(k), _fmt(value), "true" if converged else "false", str(samples), str(seed))
-
-
 def cmd_sweep(family: str, cfg: RunConfig, plot_script: str | None = None) -> int:
     out = cfg.out or f"sweep_{family}.csv"
     values = sweep_values(family, cfg)
-    _write_csv(out, "k,value,converged,samples,seed", _sweep_rows(values))
-    print(f"wrote {len(values)} rows to {out} (energy in h, time in 1/h)")
-    if plot_script:
-        _emit_plot_script(plot_script, out, x="k", y="value", title=f"{family} sweep")
+    _emit(out, "k,value,converged,samples,seed", values, plot_script, "value", f"{family} sweep")
     return EXIT_OK
 
 
 def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int:
+    out = cfg.out or f"inset_{which}.csv"
     if which == "fig2":
-        out = cfg.out or "inset_fig2.csv"
-        unitary = sweep_values("unitary", cfg)
-        stochastic = sweep_values("separable", cfg)
-        rows = [
-            (_fmt(ku), _fmt(vs - vu))
-            for (ku, vu, *_), (_, vs, *_) in zip(unitary, stochastic)
-        ]
-        _write_csv(out, "k,diff", rows)
+        pairs = zip(sweep_values("unitary", cfg), sweep_values("separable", cfg))
+        header, rows = "k,diff", [(ku, vs - vu) for (ku, vu, *_), (_, vs, *_) in pairs]
     else:
-        out = cfg.out or "inset_fig3.csv"
-        separable = sweep_values("separable", cfg)
-        entangled = sweep_values("entangled", cfg)
+        pairs = zip(sweep_values("separable", cfg), sweep_values("entangled", cfg))
         entropy = analytic.entanglement_entropy(cfg.k_grid())
+        header = "entropy_ebits,diff,k_sign"
         rows = [
-            (_fmt(e), _fmt(ve - vs), _fmt(float(np.sign(k))))
-            for e, (k, vs, *_), (_, ve, *_) in zip(entropy, separable, entangled)
+            (e, ve - vs, np.sign(k)) for e, ((k, vs, *_), (_, ve, *_)) in zip(entropy, pairs)
         ]
-        _write_csv(out, "entropy_ebits,diff,k_sign", rows)
-    print(f"wrote {len(rows)} rows to {out} (energy in h)")
-    if plot_script:
-        _emit_plot_script(plot_script, out, x="entropy_ebits" if which == "fig3" else "k", y="diff", title=f"inset {which}")
+    _emit(out, header, rows, plot_script, "diff", f"inset {which}")
     return EXIT_OK
 
 
@@ -188,35 +159,48 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def cmd_mps(
-    cfg: RunConfig,
-    grid_n: int,
-    t_probe: float | None = None,
-    plot_script: str | None = None,
-) -> int:
+def cmd_mps(cfg: RunConfig, grid_n: int, t_probe: float | None = None,
+            plot_script: str | None = None) -> int:
     out = cfg.out or "mps.csv"
     h = cfg.spec().h
     report = analytic.mps_scan(grid_n, cfg.spec(), None if t_probe is None else t_probe / h)
-    rows = []
-    for i, s in enumerate(report.s_grid):
-        for j, theta in enumerate(report.theta_grid):
-            verdict = "passive" if report.passive[i, j] else "extractable"
-            rows.append((_fmt(s), _fmt(theta), _fmt(report.max_wp[i, j] / h), verdict))
-    _write_csv(out, "s,theta,max_wp,verdict", rows)
-    print(f"wrote {len(rows)} rows to {out} (energy in h, time in 1/h)")
-    print(f"passive points: {report.passive_count}")
-    if plot_script:
-        _emit_plot_script(plot_script, out, x="s", y="max_wp", title="passivity scan")
+    passive = report.passive  # a property that rebuilds the grid: read it once
+    s, theta = np.meshgrid(report.s_grid, report.theta_grid, indexing="ij")
+    verdicts = np.where(passive, "passive", "extractable")
+    rows = zip(*(grid.ravel().tolist() for grid in (s, theta, report.max_wp / h, verdicts)))
+    summary = f"passive points: {np.count_nonzero(passive)}"
+    _emit(out, "s,theta,max_wp,verdict", rows, plot_script, "max_wp", "passivity scan", summary)
     return EXIT_OK
 
 
-def _emit_plot_script(path: str, csv_path: str, x: str, y: str, title: str) -> None:
+def _cell(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+def _emit(path: str, header: str, rows, plot_script: str | None, y: str, title: str,
+          summary: str | None = None) -> None:
+    """Write the rows as CSV cells (floats to 12 significant digits), print
+    the row count and the summary line, and, if asked, a plot script of
+    column y against the first column."""
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.write(header + "\n")
+        count = 0
+        for count, row in enumerate(rows, 1):
+            f.write(",".join(map(_cell, row)) + "\n")
+    print(f"wrote {count} rows to {path} (energy in h, time in 1/h)")
+    if summary:
+        print(summary)
+    if not plot_script:
+        return
+    x = header.split(",")[0]
     script = f"""#!/usr/bin/env python3
-\"\"\"Auto-generated plot of {csv_path}.\"\"\"
+\"\"\"Auto-generated plot of {path}.\"\"\"
 import csv
 import matplotlib.pyplot as plt
 
-with open({csv_path!r}) as f:
+with open({path!r}) as f:
     rows = list(csv.DictReader(f))
 xs = [float(r[{x!r}]) for r in rows]
 ys = [float(r[{y!r}]) for r in rows]
@@ -227,9 +211,9 @@ plt.title({title!r})
 plt.tight_layout()
 plt.show()
 """
-    with open(path, "w", encoding="ascii") as f:
+    with open(plot_script, "w", encoding="ascii") as f:
         f.write(script)
-    print(f"wrote plot script to {path}")
+    print(f"wrote plot script to {plot_script}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -183,13 +183,20 @@ def suite_closed_form(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
     """Fits w_p/h = c tau^4 in tau = h t and compares c with the t^4
-    coefficient at h = 1 and the same g = J/h, -(2/3) g^2 (-1 + s^2 cos^2 theta)."""
-    taus, n = np.array([1e-3, 2e-3, 4e-3]), 100
+    coefficient at h = 1 and the same g = J/h, -(2/3) g^2 (-1 + s^2 cos^2 theta).
+
+    The times sit at fixed phases Omega t = 0.02, 0.04, 0.08, so the t^6
+    term stays near 1e-3 of the fit at every g. The smallest w_p is then
+    about 1e-7 g^2 / (4 + g^2)^2 h, which sinks into the oracle's rounding
+    (about 1e-16 h) below |g| of about 5e-4 and beyond about 1e4: there the
+    suite fails."""
+    unit, n = HamiltonianSpec(1.0, spec.J / spec.h), 100
+    taus = np.array([2e-2, 4e-2, 8e-2]) / unit.omega
     s, theta = rng.random(n), math.pi * rng.random(n)
     rho0 = analytic.separable_initial_bloch(s, theta)[:, None]
     wps = run_protocol(rho0, spec, taus / spec.h, Z_BASIS, 1).w_p / spec.h
     fit = np.sum(wps * taus**4, axis=-1) / np.sum(taus**8)
-    coeff = analytic.wp_small_t(s, theta, HamiltonianSpec(1.0, spec.J / spec.h))
+    coeff = analytic.wp_small_t(s, theta, unit)
     # relative error, or the absolute one where the coefficient vanishes
     residual = np.abs(fit - coeff) / np.where(coeff == 0.0, 1.0, np.abs(coeff))
     note = "relative error of the tau^4 fit, tau = h t"

@@ -265,6 +265,35 @@ class TestSweep:
         assert str(out) in script.read_text()
 
 
+class TestOutputs:
+    """The CSV emitter that sweep, inset and mps share."""
+
+    @pytest.mark.parametrize(
+        "command, x, y, title, summary",
+        [
+            (["sweep", "unitary", "--k-points", "5"], "k", "value", "unitary sweep", []),
+            (["inset", "fig3", *SMALL], "entropy_ebits", "diff", "inset fig3", []),
+            (["mps", "--grid-n", "5"], "s", "max_wp", "passivity scan", ["passive points: 1"]),
+        ],
+    )
+    def test_each_command_reports_its_rows_and_plots_its_columns(
+        self, tmp_path, capsys, command, x, y, title, summary
+    ):
+        out, script = tmp_path / "out.csv", tmp_path / "plot.py"
+        assert main([*command, "--out", str(out), "--plot-script", str(script)]) == 0
+        count = len(read_csv(out)[1])
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {count} rows to {out} (energy in h, time in 1/h)",
+            *summary,
+            f"wrote plot script to {script}",
+        ]
+        text = script.read_text()
+        assert f"open({str(out)!r})" in text
+        assert f"xs = [float(r[{x!r}]) for r in rows]" in text
+        assert f"ys = [float(r[{y!r}]) for r in rows]" in text
+        assert f"plt.xlabel({x!r})" in text and f"plt.title({title!r})" in text
+
+
 class TestInset:
     def test_fig2_ground_endpoint_near_zero(self, tmp_path):
         out = tmp_path / "i2.csv"
@@ -405,9 +434,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("h, j", [("1", "1000"), ("3", "0.001")])
     def test_scan_suite_passes_far_from_unit_coupling(self, capsys, h, j):
-        # small-t-quartic may still fail here; the passivity scan must not
+        # small-t-quartic holds for J/h from about 1e-3 to 1e4, so it passes at
+        # (1, 1000) and still fails at J/h = 3.3e-4; the passivity scan passes at both
         main(["verify", "--h", h, "--J", j])
         assert "PASS mps-scan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("j", ["0.001", "0.01", "64", "-50", "1000", "1e4"])
+    def test_quartic_law_holds_far_from_unit_coupling(self, capsys, j):
+        # the fit times sit at fixed phases Omega t, so they stay in the t^4 regime
+        assert main(["verify", "--J", j]) == 0
+        out = capsys.readouterr().out
+        assert "11/11 suites passed" in out and "PASS small-t-quartic" in out
 
     @pytest.mark.parametrize("j", ["10", "20"])
     def test_strong_coupling_passes(self, capsys, j):
@@ -436,6 +473,19 @@ class TestMps:
         assert len(passive) == 1
         assert float(passive[0][0]) == 1.0
         assert float(passive[0][1]) == pytest.approx(np.pi)
+
+    def test_verdict_grid_is_not_read_per_cell(self, monkeypatch, tmp_path):
+        # MpsScanReport.passive rebuilds the grid on each read: one read per cell is O(n^4)
+        reads = []
+        verdicts = analytic.MpsScanReport.passive
+
+        def counted(report):
+            reads.append(1)
+            return verdicts.fget(report)
+
+        monkeypatch.setattr(analytic.MpsScanReport, "passive", property(counted))
+        assert main(["mps", "--grid-n", "11", "--out", str(tmp_path / "mps.csv")]) == 0
+        assert len(reads) <= 2
 
     def test_scan_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
