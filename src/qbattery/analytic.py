@@ -31,10 +31,6 @@ from .errors import ConfigError, DomainError
 from .protocol import Z_BASIS, run_protocol
 from . import qmath
 
-# Default probe time, in units of 1/h; perfbench and the pinned `mps` digest
-# read the scan at 0.1/h. Past J = sqrt(21) h the default shortens to
-# 0.5/Omega, inside the window t < 1/Omega.
-DEFAULT_T_PROBE = 0.1
 # the most float64 elements one numpy array can describe; beyond it numpy
 # raises ValueError or IndexError, not MemoryError
 MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
@@ -150,14 +146,16 @@ class MpsScanReport:
         ]
 
 
-def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -> MpsScanReport:
+def mps_scan(grid_n: int, spec: HamiltonianSpec) -> MpsScanReport:
     """Scan battery states (s, theta) for measurement passivity.
 
-    Each grid point scores the reference protocol at the probe time, as
-    wp_closed_form evaluated on the whole grid at once; the fully excited
-    corner (s=1, theta=0) also scores the excited-battery drain at its
-    quarter period, as wp_excited_closed_form. A point is passive exactly
-    when its score is <= 0. That sign is exact, with no threshold:
+    Each grid point scores the reference protocol at the probe time
+    t = min(0.1/h, 0.5/Omega), as wp_closed_form evaluated on the whole grid
+    at once; the fully excited corner (s=1, theta=0) also scores the
+    excited-battery drain at its quarter period, as wp_excited_closed_form.
+    A point is passive exactly when its score is <= 0. That sign is exact,
+    with no threshold, and the same at every probe time in the window, so
+    the scan fixes one:
 
     - For J != 0 and 0 < Omega t <= pi, the bracket of wp_closed_form,
       (J/Omega)^2 sin^2(Omega t) - sin^2(J t) = J^2 t^2 [sinc^2(Omega t) -
@@ -173,19 +171,21 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec, t_probe: float | None = None) -
     from |J| of about 3e7 h on; products underflow below |J| of about
     1e-157 h), the probe cannot resolve the sign and DomainError is raised.
 
-    t_probe defaults to min(DEFAULT_T_PROBE/h, 0.5/Omega). Memory grows as
-    a few grid_n^2 floats.
+    Where h is so near the ends of the float range that the probe time
+    rounds to 0 or overflows, DomainError is raised too. Memory grows as a
+    few grid_n^2 floats.
     """
     if grid_n < 2:
         raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
     if grid_n > math.isqrt(MAX_GRID_POINTS):
         raise ConfigError(f"grid_n {grid_n} is too large: numpy cannot describe a "
                           f"grid_n x grid_n float64 scan")
-    if t_probe is None:
-        t_probe = min(DEFAULT_T_PROBE / spec.h, 0.5 / spec.omega)
-    # omega >= 2h, |J|, so omega t < 1 bounds every phase of the probe
-    if not 0.0 < t_probe < 1.0 / spec.omega:
-        raise ConfigError(f"t_probe {t_probe} outside the small-time probe window")
+    # perfbench and the pinned `mps` digest read the scan at 0.1/h; past J = sqrt(21) h
+    # the probe shortens to 0.5/Omega. Omega >= 2h, |J|, so Omega t < 1 bounds every phase
+    t_probe = min(0.1 / spec.h, 0.5 / spec.omega)
+    if not 0.0 < t_probe < math.inf:
+        raise DomainError(f"the probe time {t_probe} is not positive and finite at h={spec.h}, "
+                          f"J={spec.J}: h is too near the limits of float64")
 
     s_grid = np.linspace(0.0, 1.0, grid_n)
     theta_grid = np.linspace(0.0, math.pi, grid_n)

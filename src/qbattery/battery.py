@@ -6,8 +6,8 @@ in the units of h and J (the command line converts to units of h). The
 default coupling for the numerical regime is J = 2h.
 
 Passive states and ergotropy use the qubit closed forms on the Bloch
-vector r of the state: the passive state is (I - |r| n.sigma)/2 for the
-Bloch direction n of the Hamiltonian, and the ergotropy under h*sigma_z is
+vector r of the state: under h*sigma_z the passive state is
+(I - |r| sigma_z)/2, the same for every h > 0, and the ergotropy is
 h (z + |r|). Both accept stacks of states. The generic spectral
 construction (populations sorted against the levels) is kept only as the
 oracle of the ``passive-ergotropy`` verify suite.
@@ -135,23 +135,18 @@ def _bloch_components(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return 2.0 * off.real, -2.0 * off.imag, (a[..., 0, 0] - a[..., 1, 1]).real
 
 
-def passive_state(rho, h_op) -> np.ndarray:
-    """State with the same spectrum as rho but no unitarily extractable energy.
+def passive_state(rho) -> np.ndarray:
+    """State with the same spectrum as rho but no unitarily extractable energy
+    under h*sigma_z.
 
-    For a qubit this is (I - |r| n.sigma)/2: the Bloch vector r of rho turned
-    to point against n, the Bloch direction of h_op, so the larger
-    population sits on the lower level and the result commutes with h_op.
-    ``rho`` may be a stack (..., 2, 2). When h_op is a multiple of the
-    identity every state is passive and rho is returned.
+    For a qubit this is (I - |r| sigma_z)/2: the Bloch vector r of rho turned
+    to point at the ground state |1>, so the larger population sits on the
+    lower level. It does not depend on h > 0. ``rho`` may be a stack
+    (..., 2, 2).
     """
     x, y, z = _bloch_components(rho)
-    b = np.array(_bloch_components(h_op))
-    norm = math.hypot(*b)
-    if norm == 0.0:
-        return np.array(rho, dtype=complex)
-    n_sigma = (b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z) / norm
     radius = np.hypot(np.hypot(x, y), z)[..., None, None]
-    return 0.5 * (I2 - radius * n_sigma)
+    return 0.5 * (I2 - radius * SIGMA_Z)
 
 
 def ergotropy(rho, spec: HamiltonianSpec) -> float | np.ndarray:

@@ -1,10 +1,10 @@
 """Command-line driver: k-sweeps, figure insets, self-verification, and the
 measurement-passivity scan, all emitting deterministic CSV.
 
-Energies in the output are in units of h and times (``--t-max``,
-``--t-probe``) in units of 1/h: the CLI converts both once, at this edge, so
-the package below works in absolute units. Every stochastic row carries the
-derived per-point seed that reproduces it.
+Energies in the output are in units of h and times (``--t-max``) in units
+of 1/h: the CLI converts both once, at this edge, so the package below works
+in absolute units. Every stochastic row carries the derived per-point seed
+that reproduces it.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
 def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec()
     _resolved_window(spec, verify.WINDOW)
+    verify.check_coupling(spec)
     results = verify.run_suites(spec, cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -159,15 +160,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def cmd_mps(cfg: RunConfig, grid_n: int, t_probe: float | None = None,
-            plot_script: str | None = None) -> int:
+def cmd_mps(cfg: RunConfig, grid_n: int, plot_script: str | None = None) -> int:
     out = cfg.out or "mps.csv"
-    h = cfg.spec().h
-    report = analytic.mps_scan(grid_n, cfg.spec(), None if t_probe is None else t_probe / h)
+    report = analytic.mps_scan(grid_n, cfg.spec())
     passive = report.passive  # a property that rebuilds the grid: read it once
     s, theta = np.meshgrid(report.s_grid, report.theta_grid, indexing="ij")
     verdicts = np.where(passive, "passive", "extractable")
-    rows = zip(*(grid.ravel().tolist() for grid in (s, theta, report.max_wp / h, verdicts)))
+    rows = zip(*(grid.ravel().tolist() for grid in (s, theta, report.max_wp / cfg.h, verdicts)))
     summary = f"passive points: {np.count_nonzero(passive)}"
     _emit(out, "s,theta,max_wp,verdict", rows, plot_script, "max_wp", "passivity scan", summary)
     return EXIT_OK
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbattery",
         description="Quantum-battery energy extraction: unitary vs. measurement-assisted.",
         fromfile_prefix_chars="@",
-        epilog="@FILE reads further arguments from FILE, one per line.",
+        epilog="@FILE reads arguments from FILE, one per line. Write negative values as --J=-1e5.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sweep = sub.add_parser("sweep", help="k-sweep of one extraction method")
@@ -264,10 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[model, seed], help="run the self-check suites")
     mps = sub.add_parser("mps", parents=[model, csv], help="measurement-passivity scan")
     mps.add_argument("--grid-n", type=int, dest="grid_n", default=101)
-    mps.add_argument(
-        "--t-probe", type=float, dest="t_probe", default=None,
-        help="probe time in 1/h (default min(0.1, 0.5 h/Omega), inside t < 1/Omega)",
-    )
     return parser
 
 
@@ -281,7 +276,7 @@ def main(argv=None) -> int:
             return cmd_inset(args.which, cfg, args.plot_script)
         if args.command == "verify":
             return cmd_verify(cfg)
-        return cmd_mps(cfg, args.grid_n, args.t_probe, args.plot_script)
+        return cmd_mps(cfg, args.grid_n, args.plot_script)
     except (ConfigError, DomainError, MemoryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -216,11 +217,17 @@ class TestMpsScan:
         assert report.passive_points() == [(1.0, math.pi)]
         assert np.array_equal(report.passive, report.max_wp <= 0.0)
 
-    @pytest.mark.parametrize("h, j", [(1.0, 1e8), (1.0, -1e9), (1.0, 3e-159), (3.0, 3e-160)])
+    @pytest.mark.parametrize(
+        "h, j",
+        [(1.0, 1e8), (1.0, -1e9), (1.0, 3e-159), (3.0, 3e-160), (1e-310, 0.0), (1e-310, 2e-310),
+         (1e308, 0.0)],
+    )
     def test_unresolved_sign_raises(self, h, j):
         # the bracket cancels at large J/h and underflows at tiny J/h; at
-        # J/h = 3e-159 only points near the poles underflow, not s = 0
-        with pytest.raises(DomainError, match=f"h={h!r}, J={j!r}"):
+        # J/h = 3e-159 only points near the poles underflow, not s = 0. At the
+        # limits of float64 the probe time overflows (0.1/h) or rounds to 0
+        # (2h, and so Omega, overflows), even at J = 0
+        with pytest.raises(DomainError, match=re.escape(f"h={h!r}, J={j!r}")):
             mps_scan(101, HamiltonianSpec(h, j))
 
     def test_excited_drain_survives_where_two_omega_overflows(self):
@@ -262,12 +269,6 @@ class TestMpsScan:
             with pytest.raises(ConfigError, match="grid_n .* too large"):
                 mps_scan(grid_n, SPEC)
 
-    def test_rejects_probe_outside_window(self):
-        with pytest.raises(ConfigError):
-            mps_scan(11, SPEC, t_probe=5.0)
-        with pytest.raises(ConfigError):
-            mps_scan(11, SPEC, t_probe=0.0)
-
 
 class TestBatchedScanMatchesOracle:
     """The batched scan against one scalar run_protocol call per grid point."""
@@ -283,13 +284,10 @@ class TestBatchedScanMatchesOracle:
                     wp[i, j] = max(wp[i, j], drain)
         return wp
 
-    @pytest.mark.parametrize(
-        "h, j, t_probe",
-        [(1.0, 2.0, None), (2.0, 4.0, None), (1.0, 4.0, None), (1.0, 0.0, None), (1.0, 2.0, 0.037)],
-    )
-    def test_every_point_matches_run_protocol(self, h, j, t_probe):
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (2.0, 4.0), (1.0, 4.0), (1.0, 0.0)])
+    def test_every_point_matches_run_protocol(self, h, j):
         spec = HamiltonianSpec(h, j)
-        report = mps_scan(11, spec, t_probe)
+        report = mps_scan(11, spec)
         expected = self.scalar_scan(report, spec)
         assert np.max(np.abs(report.max_wp - expected)) <= 1e-12 * h
         # the probe signal is at most about 3e-4 h, so also compare relatively

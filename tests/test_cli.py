@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -134,7 +135,7 @@ class TestOptionsPerSubcommand:
             "sweep entangled": self.MODEL | self.GRID | self.SEARCH | self.CSV,
             "inset": self.MODEL | self.GRID | self.SEARCH | self.CSV,
             "verify": self.MODEL | {"--seed"},
-            "mps": self.MODEL | self.CSV | {"--grid-n", "--t-probe"},
+            "mps": self.MODEL | self.CSV | {"--grid-n"},
         }
 
     @pytest.mark.parametrize(
@@ -142,7 +143,7 @@ class TestOptionsPerSubcommand:
         [("verify", f) for f in ["--k-min", "--k-max", "--k-points", "--budget", "--t-max",
                                  "--threads", "--out", "--plot-script"]]
         + [("mps", f) for f in ["--k-min", "--k-max", "--k-points", "--budget", "--seed",
-                                "--t-max", "--threads"]],
+                                "--t-max", "--threads", "--t-probe"]],
     )
     def test_unread_flag_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exit_info:
@@ -434,21 +435,41 @@ class TestVerify:
 
     @pytest.mark.parametrize("h, j", [("1", "1000"), ("3", "0.001")])
     def test_scan_suite_passes_far_from_unit_coupling(self, capsys, h, j):
-        # small-t-quartic holds for J/h from about 1e-3 to 1e4, so it passes at
-        # (1, 1000) and still fails at J/h = 3.3e-4; the passivity scan passes at both
-        main(["verify", "--h", h, "--J", j])
+        # small-t-quartic holds for J/h from about 3e-4 to 1e4, so every suite
+        # passes at (1, 1000) and at J/h = 3.3e-4, the passivity scan with them
+        assert main(["verify", "--h", h, "--J", j]) == 0
         assert "PASS mps-scan" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("j", ["0.001", "0.01", "64", "-50", "1000", "1e4"])
+    @pytest.mark.parametrize("j", ["0.001", "0.01", "64", "-50", "-1e3", "1000", "1e4"])
     def test_quartic_law_holds_far_from_unit_coupling(self, capsys, j):
-        # the fit times sit at fixed phases Omega t, so they stay in the t^4 regime
-        assert main(["verify", "--J", j]) == 0
+        # the fit times sit at fixed phases Omega t, so they stay in the t^4 regime.
+        # '=' joins the value, so argparse reads -1e3 as one, not as an option
+        assert main(["verify", f"--J={j}"]) == 0
         out = capsys.readouterr().out
         assert "11/11 suites passed" in out and "PASS small-t-quartic" in out
 
+    @pytest.mark.parametrize("h", ["1e-200", "1", "1e200"])
+    def test_passes_inside_the_coupling_band_and_exits_2_outside(self, capsys, h):
+        # |J|/h across the float range, dense at the band's edges 3e-4 and 1e4: some
+        # suite fails at 1e-4 (h = 1e200), 1.5e4 (h = 1e200) and 2e4 (h = 1e-200). At
+        # h = 1e-200 the smallest couplings underflow to J = 0, which passes too
+        low, high = verify.COUPLING_BAND
+        ratios = [1e-160, 1e-60, 1e-8, 1e-5, 1e-4, 2.9e-4, 3e-4, 3.1e-4, 1e-3, 1.0, 1e3,
+                  9.9e3, 1e4, 1.01e4, 1.5e4, 2e4, 1e5, 1e8]
+        for g, sign in itertools.product(ratios, (1, -1)):
+            j = sign * g * float(h)
+            code = main(["verify", "--h", h, f"--J={j!r}"])
+            out, err = capsys.readouterr()
+            assert "Traceback" not in out + err
+            if j == 0.0 or low <= abs(j) / float(h) <= high:
+                assert code == 0 and out.endswith("11/11 suites passed\n"), (h, j, out)
+            else:
+                assert code == 2 and out == "" and err.count("error:") == 1, (h, j, err)
+                assert err.startswith("error: the self-check suites resolve")
+
     @pytest.mark.parametrize("j", ["10", "20"])
     def test_strong_coupling_passes(self, capsys, j):
-        # the default probe time 0.1/h leaves the scan's window t < 1/Omega here
+        # a probe time of 0.1/h would leave the scan's window t < 1/Omega here
         assert main(["verify", "--J", j]) == 0
         out = capsys.readouterr().out
         assert "11/11 suites passed" in out and "(passive points: 1)" in out

@@ -59,7 +59,7 @@ def test_evaluator_scales(family, lam):
 
 @pytest.mark.parametrize("lam", SCALES)
 def test_mps_scan_scales(lam):
-    # the default probe time is 0.1/h, so it scales with the spec
+    # the probe time is 0.1/h, so it scales with the spec
     base = mps_scan(11, BASE)
     big = mps_scan(11, scaled(BASE, lam))
     assert big.t_probe == pytest.approx(base.t_probe / lam, rel=1e-15)
