@@ -2,8 +2,8 @@
 
 The battery and auxiliary are single qubits with local Hamiltonian h*sigma_z
 (h > 0), coupled by J*(sigma_x x sigma_x). Energies and times are absolute,
-in the units of h and J (the command line converts to units of h). The
-default coupling for the numerical regime is J = 2h.
+in the units of h and J (the command line runs the model (1, J/h), in units
+of h). The default coupling for the numerical regime is J = 2h.
 
 Passive states and ergotropy use the qubit closed forms on the Bloch
 vector r of the state: under h*sigma_z the passive state is
@@ -43,7 +43,10 @@ class HamiltonianSpec:
     @property
     def omega(self) -> float:
         """Rabi frequency sqrt(4h^2 + J^2) of the {|00>, |11>} parity block,
-        formed as hypot(2h, J): finite and non-zero at any scale of h and J."""
+        formed as hypot(2h, J): non-zero, and finite wherever 2h is, that is
+        for h below about 8.99e307; from there on 2h overflows and it is inf.
+        The CLI's model (1, J/h) forms W/h = hypot(2, J/h), which is finite
+        for every finite J/h."""
         return math.hypot(2.0 * self.h, self.J)
 
 

@@ -1,10 +1,13 @@
 """Command-line driver: k-sweeps, figure insets, self-verification, and the
 measurement-passivity scan, all emitting deterministic CSV.
 
-Energies in the output are in units of h and times (``--t-max``) in units
-of 1/h: the CLI converts both once, at this edge, so the package below works
-in absolute units. Every stochastic row carries the derived per-point seed
-that reproduces it.
+The CLI computes in units of h: sweep, inset and mps run the library on the
+model (1, J/h), so ``--t-max`` in units of 1/h is already the search window
+and the energies it returns are already in units of h. Every row therefore
+depends on J/h alone and is the same at every h. Only verify builds the
+model (h, J), because its suites test the absolute-unit library at the
+user's scale. Every stochastic row carries the derived per-point seed that
+reproduces it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ConfigError(f"field strength h must be positive and finite, got {self.h}")
         if self.k_points < 1:
             raise ConfigError(f"k_points must be at least 1, got {self.k_points}")
         if self.k_points > analytic.MAX_GRID_POINTS:
@@ -68,41 +73,46 @@ class RunConfig:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
 
     def spec(self) -> HamiltonianSpec:
-        return HamiltonianSpec(self.h, self.J)
+        """The model in units of h, (1, J/h); J/h is 2 when J is not given,
+        so 2h is never formed."""
+        g = 2.0 if self.J is None else self.J / self.h
+        if not math.isfinite(g):
+            raise DomainError(f"J/h = {g} is not finite for h={self.h}, J={self.J}")
+        return HamiltonianSpec(1.0, g)
 
     def k_grid(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.k_points)
 
 
-def _resolved_window(spec: HamiltonianSpec, t_max: float) -> float:
-    """The time window t_max (in 1/h) in absolute units, once the phase
-    Omega*t_max is known to resolve: one ulp of it must stay below MAX_PHASE_ULP."""
-    window = t_max / spec.h
-    phase = spec.omega * window
+def _check_phase(phase: float, cfg: RunConfig, t_max: float) -> None:
+    """Raise DomainError, naming the user's h, J and t_max (in 1/h), unless
+    the phase Omega*t_max resolves: one ulp of it must stay below MAX_PHASE_ULP."""
     if math.ulp(phase) > MAX_PHASE_ULP:
         raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
-                          f"{MAX_PHASE_ULP:g} rad per ulp of t for h={spec.h}, J={spec.J}, "
-                          f"t_max={t_max} (in 1/h): shorten t_max or reduce J/h")
-    return window
+                          f"{MAX_PHASE_ULP:g} rad per ulp of t for h={cfg.h}, "
+                          f"J={'2h' if cfg.J is None else cfg.J}, t_max={t_max} (in 1/h): "
+                          f"shorten t_max or reduce J/h")
 
 
-def _optimize_task(task) -> tuple[float, bool, int]:
+def _optimize_task(task) -> tuple[float, float, bool, int, int]:
+    """The row (k, value, converged, samples, seed) of one search task."""
+    space, _, _, seed = task
     report = optimize(*task)  # through the module global, so it can be swapped for a wrapper
-    return report.best_value, report.converged, report.samples_used
+    return space.k, report.best_value, report.converged, report.samples_used, seed
 
 
 def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, int, int]]:
-    """(k, value, converged, samples, seed) per grid point, in k order; values
-    in units of h. The rows run in a pool of at most ``threads`` processes
+    """(k, value, converged, samples, seed) per grid point, in k order, on the
+    model in units of h. The rows run in a pool of at most ``threads`` processes
     (default and cap: the CPUs this process may run on)."""
     ks = cfg.k_grid()
     spec = cfg.spec()
     if family == "unitary":
-        values = ergotropy(battery_state(ks), spec) / spec.h
+        values = ergotropy(battery_state(ks), spec)
         return [(float(k), float(v), True, 0, cfg.seed) for k, v in zip(ks, values)]
-    t_max = _resolved_window(spec, cfg.t_max)
+    _check_phase(spec.omega * cfg.t_max, cfg, cfg.t_max)
     tasks = [
-        (SearchSpace(family, float(k), t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
+        (SearchSpace(family, float(k), cfg.t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
     ]
     if hasattr(os, "sched_getaffinity"):
@@ -111,14 +121,13 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
         cpus = os.cpu_count() or 1
     workers = min(cfg.threads or cpus, cpus, len(tasks))
     if workers <= 1:
-        results = [_optimize_task(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_optimize_task, tasks))
-    return [
-        (space.k, value / spec.h, converged, samples, seed)
-        for (space, _, _, seed), (value, converged, samples) in zip(tasks, results)
-    ]
+        return [_optimize_task(t) for t in tasks]
+    # numpy 2 loads numpy.random on first use; loaded here, before the fork, it
+    # spares each worker the import in its first row. Not at module level: the
+    # import costs every command, and mps never draws
+    import numpy.random  # noqa: F401
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_optimize_task, tasks))
 
 
 def cmd_sweep(family: str, cfg: RunConfig, plot_script: str | None = None) -> int:
@@ -145,8 +154,8 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec = cfg.spec()
-    _resolved_window(spec, verify.WINDOW)
+    spec = HamiltonianSpec(cfg.h, cfg.J)  # the suites test the library at the user's scale
+    _check_phase(spec.omega * (verify.WINDOW / spec.h), cfg, verify.WINDOW)
     verify.check_coupling(spec)
     results = verify.run_suites(spec, cfg.seed)
     failed = [r for r in results if not r.passed]
@@ -166,7 +175,7 @@ def cmd_mps(cfg: RunConfig, grid_n: int, plot_script: str | None = None) -> int:
     passive = report.passive  # a property that rebuilds the grid: read it once
     s, theta = np.meshgrid(report.s_grid, report.theta_grid, indexing="ij")
     verdicts = np.where(passive, "passive", "extractable")
-    rows = zip(*(grid.ravel().tolist() for grid in (s, theta, report.max_wp / cfg.h, verdicts)))
+    rows = zip(*(grid.ravel().tolist() for grid in (s, theta, report.max_wp, verdicts)))
     summary = f"passive points: {np.count_nonzero(passive)}"
     _emit(out, "s,theta,max_wp,verdict", rows, plot_script, "max_wp", "passivity scan", summary)
     return EXIT_OK

@@ -312,7 +312,7 @@ def check_coupling(spec: HamiltonianSpec) -> None:
 
 def run_suites(spec: HamiltonianSpec, seed: int) -> list[SuiteResult]:
     """Run every suite; deterministic for a fixed (spec, seed)."""
-    streams = [make_rng(derive_seed(seed, i)) for i in range(8)]
+    streams = [make_rng(derive_seed(seed, i)) for i in range(6)]
     return [
         suite_operator_algebra(spec, streams[0]),
         suite_passive_ergotropy(spec, streams[1]),

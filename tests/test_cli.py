@@ -8,6 +8,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qbattery.battery import HamiltonianSpec, battery_state, ergotropy
 from qbattery.cli import RunConfig, build_parser, cmd_verify, main, resolve_config, sweep_values
@@ -29,7 +31,7 @@ SMALL = ["--k-points", "5", "--budget", "2000", "--seed", "7"]
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.spec().J == 2.0 * cfg.h
+        assert cfg.spec() == HamiltonianSpec(1.0, 2.0)
         assert len(cfg.k_grid()) == 81
         assert cfg.k_grid()[0] == -1.0 and cfg.k_grid()[-1] == 1.0
 
@@ -42,11 +44,23 @@ class TestRunConfig:
             {"budget": 0},
             {"t_max": 0.0},
             {"threads": 0},
+            {"h": 0.0},
+            {"h": -1.0},
+            {"h": math.inf},
+            {"h": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "h, j, g", [(1.0, None, 2.0), (0.7, 1.4, 2.0), (1e308, None, 2.0), (1e308, 1.0, 1e-308),
+                    (4.0, -1.0, -0.25), (1e-300, 0.0, 0.0)]
+    )
+    def test_spec_is_the_model_in_units_of_h(self, h, j, g):
+        # J/h is 2 when J is not given, so 2h, which overflows from h = 8.99e307, is never formed
+        assert RunConfig(h=h, J=j).spec() == HamiltonianSpec(1.0, g)
 
     @pytest.mark.parametrize("flag", ["--h", "--J", "--k-min", "--k-max"])
     def test_non_numeric_flag_exits_2_before_run_config(self, tmp_path, capsys, flag):
@@ -234,6 +248,19 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: the phase Omega*t_max") and "Traceback" not in err
         assert f"h=1.0, J={float(j)!r}, t_max=10.0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--h", "1e-5", "--J", "1e5"], "h=1e-05, J=100000.0, t_max=10.0 (in 1/h)"),
+         (["--h", "4", "--t-max", "1e12"], "h=4.0, J=2h, t_max=1000000000000.0 (in 1/h)")],
+    )
+    def test_phase_error_names_the_scales_the_user_gave(self, tmp_path, capsys, flags, named):
+        # the search runs on (1, J/h), but the error names h, J and t_max as given
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "separable", *flags, "--k-points", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the phase Omega*t_max") and named in err
         assert not out.exists()
 
     def test_phases_that_resolve_pass_the_check(self, tmp_path):
@@ -618,9 +645,9 @@ class TestSweepValues:
 
     @pytest.mark.parametrize("h", [1.0, 2.0, 0.37, 1e200, 1e-200])
     def test_unitary_stack_matches_a_per_k_loop(self, h):
+        # at every h the rows are the ergotropy of the model in units of h, (1, J/h) = (1, 2)
         cfg = RunConfig(h=h, k_points=81)
-        spec = cfg.spec()
-        loop = [ergotropy(battery_state(k), spec) / h for k in cfg.k_grid()]
+        loop = [ergotropy(battery_state(k), HamiltonianSpec(1.0, 2.0)) for k in cfg.k_grid()]
         assert [v for _, v, *_ in sweep_values("unitary", cfg)] == loop
 
     def test_unitary_is_exact_and_instant(self):
@@ -630,47 +657,67 @@ class TestSweepValues:
             assert abs(value - (2.0 * k if k >= 0 else 0.0)) < 1e-10
 
 
+# a search that converted units back from absolute ones moved the k = -1 separable row at
+# (h, J) = (0.7, 1.4) at budget 20000, though not at 2000 or 5000
+SEARCH_SMALL = ["--k-points", "2", "--budget", "20000", "--threads", "1"]
+# every command that writes rows, with small grids and budgets
+ROW_COMMANDS = [
+    ["sweep", "unitary", "--k-points", "5"],
+    ["sweep", "separable", *SEARCH_SMALL],
+    ["sweep", "entangled", *SEARCH_SMALL],
+    ["inset", "fig2", *SEARCH_SMALL],
+    ["inset", "fig3", *SEARCH_SMALL],
+    ["mps", "--grid-n", "5"],
+]
+
+
 class TestUnitContract:
-    """Energies print in units of h and times read in units of 1/h, so runs
-    that share g = J/h print the same numbers."""
+    """The CLI runs every row on the model (1, J/h): energies print in units
+    of h and times read in units of 1/h, so runs that share g = J/h write the
+    same bytes at every h."""
 
     def test_unitary_row_is_in_units_of_h(self):
         values = sweep_values("unitary", RunConfig(h=2.0, J=4.0, k_points=3))
         assert values[-1][:2] == (1.0, 2.0)
 
-    @pytest.mark.parametrize("family", ["separable", "entangled"])
-    def test_stochastic_rows_depend_only_on_g(self, family):
-        small = {"k_points": 5, "budget": 2000, "seed": 7, "threads": 1}
-        unit = sweep_values(family, RunConfig(h=1.0, J=2.0, **small))
-        scaled = sweep_values(family, RunConfig(h=2.0, J=4.0, **small))
-        for a, b in zip(unit, scaled):
-            assert b[1] == pytest.approx(a[1], abs=1e-9)
+    @given(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.sampled_from([2.0, -3.0, 0.5, 0.0]),
+    )
+    @example(h=0.7, g=2.0)  # J = 1.4: converting back from absolute units moved the k = -1 row
+    @example(h=2.0, g=2.0)
+    @example(h=1e200, g=2.0)
+    @example(h=1e-200, g=2.0)
+    @settings(max_examples=20, deadline=None)
+    def test_rows_depend_only_on_g(self, tmp_path_factory, h, g):
+        assume((g * h) / h == g)
+        tmp = tmp_path_factory.mktemp("units")
+        scaled, unit = tmp / "scaled.csv", tmp / "unit.csv"
+        for command in ROW_COMMANDS:
+            assert main([*command, f"--h={h!r}", f"--J={g * h!r}", "--out", str(scaled)]) == 0
+            assert main([*command, f"--J={g!r}", "--out", str(unit)]) == 0
+            assert scaled.read_bytes() == unit.read_bytes(), (command, h, g)
 
-    def test_mps_values_depend_only_on_g(self, tmp_path):
-        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
-        assert main(["mps", "--grid-n", "5", "--out", str(unit)]) == 0
-        assert main(["mps", "--grid-n", "5", "--h", "2", "--J", "4", "--out", str(scaled)]) == 0
-        _, unit_rows = read_csv(unit)
-        _, scaled_rows = read_csv(scaled)
-        for a, b in zip(unit_rows, scaled_rows):
-            assert float(b[2]) == pytest.approx(float(a[2]), abs=1e-9)
-            assert b[3] == a[3]
-
-    @pytest.mark.parametrize("h, j", [("1e200", "2e200"), ("1e-200", "2e-200")])
-    @pytest.mark.parametrize("family", ["separable", "entangled"])
-    def test_stochastic_rows_hold_at_extreme_scales(self, tmp_path, family, h, j):
-        small = ["--k-points", "3", "--budget", "2000", "--threads", "1"]
-        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
-        assert main(["sweep", family, *small, "--out", str(unit)]) == 0
-        assert main(["sweep", family, *small, "--h", h, "--J", j, "--out", str(scaled)]) == 0
-        _, unit_rows = read_csv(unit)
-        _, scaled_rows = read_csv(scaled)
-        for a, b in zip(unit_rows, scaled_rows):
-            assert float(b[1]) == pytest.approx(float(a[1]), abs=1e-12)
-
-    @pytest.mark.parametrize("h, j", [("1e200", "2e200"), ("1e-200", "2e-200")])
-    def test_mps_is_byte_identical_at_extreme_scales(self, tmp_path, h, j):
-        unit, scaled = tmp_path / "unit.csv", tmp_path / "scaled.csv"
-        assert main(["mps", "--grid-n", "5", "--out", str(unit)]) == 0
-        assert main(["mps", "--grid-n", "5", "--h", h, "--J", j, "--out", str(scaled)]) == 0
+    @pytest.mark.parametrize(
+        "command, j",
+        [(["sweep", "separable", *SEARCH_SMALL], "1"),
+         (["sweep", "entangled", *SEARCH_SMALL], None),
+         (["mps", "--grid-n", "5"], "0")],
+    )
+    def test_fields_where_2h_overflows_run_in_units_of_h(self, tmp_path, command, j):
+        # 2h overflows from h = 8.99e307; the model (1, J/h) never forms it
+        scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
+        coupling = [] if j is None else [f"--J={j}"]
+        assert main([*command, "--h", "1e308", *coupling, "--out", str(scaled)]) == 0
+        coupling = [] if j is None else [f"--J={float(j) / 1e308!r}"]
+        assert main([*command, *coupling, "--out", str(unit)]) == 0
         assert scaled.read_bytes() == unit.read_bytes()
+
+    @pytest.mark.parametrize("command", ROW_COMMANDS)
+    def test_coupling_ratio_beyond_the_float_range_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert main([*command, "--h", "1e-300", "--J", "1e308", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: J/h = inf is not finite for h=1e-300, J=1e+308\n"
+        assert not out.exists()
