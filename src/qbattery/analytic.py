@@ -128,16 +128,8 @@ class MpsScanReport:
     s_grid: np.ndarray
     theta_grid: np.ndarray
     max_wp: np.ndarray  # shape (len(s_grid), len(theta_grid))
+    passive: np.ndarray  # True where no probe extracts anything, max_wp <= 0
     t_probe: float
-
-    @property
-    def passive(self) -> np.ndarray:
-        """Boolean grid: True where no probe extracts anything, max_wp <= 0."""
-        return self.max_wp <= 0.0
-
-    @property
-    def passive_count(self) -> int:
-        return int(np.count_nonzero(self.passive))
 
     def passive_points(self) -> list[tuple[float, float]]:
         return [
@@ -169,7 +161,8 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec) -> MpsScanReport:
     every w_p is exactly 0 and every point is passive. Where J != 0 and
     rounding leaves a point off the poles at or below 0 (the bracket cancels
     from |J| of about 3e7 h on; products underflow below |J| of about
-    1e-157 h), the probe cannot resolve the sign and DomainError is raised.
+    1e-157 h), the probe cannot resolve the sign and DomainError is raised,
+    naming the J/h that decides it.
 
     Where h is so near the ends of the float range that the probe time
     rounds to 0 or overflows, DomainError is raised too. Memory grows as a
@@ -192,11 +185,11 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec) -> MpsScanReport:
     max_wp = spec.h * wp_closed_form(s_grid[:, None], theta_grid, spec, t_probe)
     # both poles score exactly 0; by the proof above any further point at or below 0 is rounding
     if spec.J != 0.0 and np.count_nonzero(max_wp <= 0.0) > 2:
-        raise DomainError(f"rounding hides the sign of w_p at the probe for h={spec.h}, "
-                          f"J={spec.J}: the scan cannot tell passive points")
+        raise DomainError(f"rounding hides the sign of w_p at the probe for "
+                          f"J/h={spec.J / spec.h}: the scan cannot tell passive points")
     # the probe scores exactly 0 at the excited corner; the drain is its maximum
     max_wp[-1, 0] = wp_excited_closed_form(spec, excited_quarter_period(spec))
-    return MpsScanReport(s_grid, theta_grid, max_wp, t_probe)
+    return MpsScanReport(s_grid, theta_grid, max_wp, max_wp <= 0.0, t_probe)
 
 
 def separable_initial_bloch(s, theta) -> np.ndarray:

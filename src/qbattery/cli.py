@@ -6,8 +6,8 @@ model (1, J/h), so ``--t-max`` in units of 1/h is already the search window
 and the energies it returns are already in units of h. Every row therefore
 depends on J/h alone and is the same at every h. Only verify builds the
 model (h, J), because its suites test the absolute-unit library at the
-user's scale. Every stochastic row carries the derived per-point seed that
-reproduces it.
+user's scale; verify.check_scales alone decides at which (h, J) they run.
+Every stochastic row carries the derived per-point seed that reproduces it.
 """
 
 from __future__ import annotations
@@ -84,13 +84,14 @@ class RunConfig:
         return np.linspace(self.k_min, self.k_max, self.k_points)
 
 
-def _check_phase(phase: float, cfg: RunConfig, t_max: float) -> None:
+def _check_phase(phase: float, cfg: RunConfig) -> None:
     """Raise DomainError, naming the user's h, J and t_max (in 1/h), unless
-    the phase Omega*t_max resolves: one ulp of it must stay below MAX_PHASE_ULP."""
+    the search phase Omega*t_max resolves: one ulp of it must stay below
+    MAX_PHASE_ULP."""
     if math.ulp(phase) > MAX_PHASE_ULP:
         raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
                           f"{MAX_PHASE_ULP:g} rad per ulp of t for h={cfg.h}, "
-                          f"J={'2h' if cfg.J is None else cfg.J}, t_max={t_max} (in 1/h): "
+                          f"J={'2h' if cfg.J is None else cfg.J}, t_max={cfg.t_max} (in 1/h): "
                           f"shorten t_max or reduce J/h")
 
 
@@ -110,7 +111,7 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
     if family == "unitary":
         values = ergotropy(battery_state(ks), spec)
         return [(float(k), float(v), True, 0, cfg.seed) for k, v in zip(ks, values)]
-    _check_phase(spec.omega * cfg.t_max, cfg, cfg.t_max)
+    _check_phase(spec.omega * cfg.t_max, cfg)
     tasks = [
         (SearchSpace(family, float(k), cfg.t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
@@ -154,10 +155,9 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec = HamiltonianSpec(cfg.h, cfg.J)  # the suites test the library at the user's scale
-    _check_phase(spec.omega * (verify.WINDOW / spec.h), cfg, verify.WINDOW)
-    verify.check_coupling(spec)
-    results = verify.run_suites(spec, cfg.seed)
+    verify.check_scales(cfg.h, cfg.J, cfg.spec().J)
+    # the suites test the library at the user's scale
+    results = verify.run_suites(HamiltonianSpec(cfg.h, cfg.J), cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -172,11 +172,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_mps(cfg: RunConfig, grid_n: int, plot_script: str | None = None) -> int:
     out = cfg.out or "mps.csv"
     report = analytic.mps_scan(grid_n, cfg.spec())
-    passive = report.passive  # a property that rebuilds the grid: read it once
     s, theta = np.meshgrid(report.s_grid, report.theta_grid, indexing="ij")
-    verdicts = np.where(passive, "passive", "extractable")
+    verdicts = np.where(report.passive, "passive", "extractable")
     rows = zip(*(grid.ravel().tolist() for grid in (s, theta, report.max_wp, verdicts)))
-    summary = f"passive points: {np.count_nonzero(passive)}"
+    summary = f"passive points: {np.count_nonzero(report.passive)}"
     _emit(out, "s,theta,max_wp,verdict", rows, plot_script, "max_wp", "passivity scan", summary)
     return EXIT_OK
 

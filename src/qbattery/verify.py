@@ -12,6 +12,10 @@ per check, not one per sample). Times are drawn in units of 1/h and
 residuals compared in units of h, so every suite tests the same thing at
 every scale of (h, J). Residuals are reduced with np.max, which propagates
 NaN, so a non-finite residual fails its suite.
+
+check_scales alone decides where the suites run: in the coupling band, at
+an h whose Omega and longest suite time stay finite. run_suites itself
+checks nothing.
 """
 
 from __future__ import annotations
@@ -198,7 +202,7 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
     from the x^4 coefficient a, with W = Omega/h. The smallest w_p is about
     4e-6 g^2 / (4 + g^2)^2 h, which sinks into the oracle's rounding (about
     1e-16 h) below |g| of about 3e-4 and beyond about 1e4: there the suite
-    fails, and the CLI refuses such a spec (COUPLING_BAND)."""
+    fails, and check_scales refuses such a spec (COUPLING_BAND)."""
     unit, n = HamiltonianSpec(1.0, spec.J / spec.h), 100
     phases = np.array([0.05, 0.1, 0.2, 0.4])
     s, theta = rng.random(n), math.pi * rng.random(n)
@@ -269,17 +273,17 @@ def suite_zero_coupling_optimized(spec: HamiltonianSpec, seed: int) -> SuiteResu
 
 def suite_mps_uniqueness(spec: HamiltonianSpec) -> SuiteResult:
     report = analytic.mps_scan(21, spec)
+    points = report.passive_points()
     if spec.J == 0.0:
         # without coupling no state yields anything: the whole grid is passive
-        extractable = report.passive.size - report.passive_count
+        extractable = report.passive.size - len(points)
         return _result("mps-scan", float(extractable), 0.0, "J=0: all states passive")
-    points = report.passive_points()
     ground_only = points == [(1.0, math.pi)]
     return _result(
         "mps-scan",
         0.0 if ground_only else float(max(1, len(points))),
         0.0,
-        f"passive points: {report.passive_count}",
+        f"passive points: {len(points)}",
     )
 
 
@@ -302,12 +306,23 @@ def suite_optimum_bound(spec: HamiltonianSpec, seed: int) -> SuiteResult:
     )
 
 
-def check_coupling(spec: HamiltonianSpec) -> None:
-    """Raise DomainError unless J = 0 or |J|/h lies in COUPLING_BAND."""
+def check_scales(h: float, J: float | None, g: float) -> None:
+    """Raise DomainError unless the suites resolve the model (h, J), whose
+    coupling ratio J/h is g (J = None stands for J = 2h; g is formed without
+    forming 2h). They resolve it where (a) J = 0 or |g| lies in COUPLING_BAND,
+    and (b) Omega = hypot(2h, J) and their longest time 2 WINDOW/h
+    (operator-algebra's t1 + t2) are finite: for h from about 1.11e-307 up
+    to 8.99e307 at J = 0 and 6.35e307 at J = 2h. Each refusal names the
+    condition that failed and the scales as the user gave them."""
+    given = f"h={h}, J={'2h' if J is None else J}"
     low, high = COUPLING_BAND
-    if spec.J != 0.0 and not low <= abs(spec.J) / spec.h <= high:
+    if J != 0.0 and not low <= abs(g) <= high:
         raise DomainError(f"the self-check suites resolve J = 0 or {low:g} <= |J|/h <= {high:g}, "
-                          f"not h={spec.h}, J={spec.J}")
+                          f"not {given}")
+    for name, value in (("Omega = hypot(2h, J)", math.hypot(2.0 * h, 2.0 * h if J is None else J)),
+                        (f"their longest time {2.0 * WINDOW:g}/h", 2.0 * WINDOW / h)):
+        if math.isinf(value):
+            raise DomainError(f"the self-check suites need {name} finite, not inf at {given}")
 
 
 def run_suites(spec: HamiltonianSpec, seed: int) -> list[SuiteResult]:
