@@ -1,12 +1,11 @@
 """Command-line driver: k-sweeps, figure insets, self-verification, and the
 measurement-passivity scan, all emitting deterministic CSV.
 
-The CLI computes in units of h: sweep, inset and mps run the library on the
+The CLI computes in units of h: every command runs the library on the
 model (1, J/h), so ``--t-max`` in units of 1/h is already the search window
-and the energies it returns are already in units of h. Every row therefore
-depends on J/h alone and is the same at every h. Only verify builds the
-model (h, J), because its suites test the absolute-unit library at the
-user's scale; verify.check_scales alone decides at which (h, J) they run.
+and the energies it returns are already in units of h. Every row and every
+verify table therefore depends on J/h alone and is the same at every h;
+verify.run_suites alone decides at which J/h the self-checks run.
 Every stochastic row carries the derived per-point seed that reproduces it.
 """
 
@@ -155,9 +154,7 @@ def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    verify.check_scales(cfg.h, cfg.J, cfg.spec().J)
-    # the suites test the library at the user's scale
-    results = verify.run_suites(HamiltonianSpec(cfg.h, cfg.J), cfg.seed)
+    results = verify.run_suites(cfg.spec(), cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

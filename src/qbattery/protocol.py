@@ -191,7 +191,7 @@ def outcome_matrix(rho0, spec: HamiltonianSpec, t) -> np.ndarray:
     """
     rho0 = np.asarray(rho0, dtype=complex)
     u = joint_unitary(spec, t)
-    rho_t = u @ rho0 @ np.conj(np.swapaxes(u, -1, -2))
+    rho_t = u @ rho0 @ qmath.dagger(u)
     e0 = np.asarray(energy(qmath.partial_trace_second(rho0), spec))
     c = np.stack([e0 - spec.h, e0 + spec.h], axis=-1)
     return np.einsum("...i,...iaib->...ab", c, rho_t.reshape(rho_t.shape[:-2] + (2, 2, 2, 2)))

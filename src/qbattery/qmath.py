@@ -39,9 +39,14 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
+def dagger(stack) -> np.ndarray:
+    """Conjugate transpose of one matrix, or of each matrix of a stack."""
+    return np.swapaxes(stack, -1, -2).conj()
+
+
 def is_hermitian(m) -> bool:
     a = np.asarray(m)
-    return bool(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj())) <= HERMITICITY_ATOL)
+    return bool(np.max(np.abs(a - dagger(a))) <= HERMITICITY_ATOL)
 
 
 def kron(a, b) -> np.ndarray:
@@ -84,7 +89,7 @@ def evolve(h_total, t) -> np.ndarray:
         raise DomainError("evolution time must be non-negative")
     values, vectors = hermitian_eig(h_total)
     phases = np.exp(-1j * values * t[..., None])
-    return (vectors * phases[..., None, :]) @ np.swapaxes(vectors, -1, -2).conj()
+    return (vectors * phases[..., None, :]) @ dagger(vectors)
 
 
 def partial_trace_second(rho) -> np.ndarray:

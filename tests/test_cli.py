@@ -1,6 +1,8 @@
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
 import os
@@ -380,7 +382,7 @@ class TestVerify:
             "optimum-bound",
         ]
 
-    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0)])
+    @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0)])
     @pytest.mark.parametrize(
         "share, offset, passed",
         [(1.0, 0.0, True), (1.0, 2e-9, False), (0.0, 0.0, True), (0.0, -2e-12, False)],
@@ -452,33 +454,34 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "flags, refusal",
-        [(["--h", "8e307"], "Omega = hypot(2h, J) finite"),
-         (["--h", "1e308"], "Omega = hypot(2h, J) finite"),
-         (["--h", "1e308", "--J", "0"], "Omega = hypot(2h, J) finite"),
-         (["--h", "1e308", "--J", "1"], "<= |J|/h <= 10000, not"),
-         (["--h", "1", "--J", "1e308"], "<= |J|/h <= 10000, not"),
-         (["--h", "1e-300", "--J", "1e308"], "J/h = inf is not finite"),
-         (["--h", "8e-308"], "their longest time 20/h finite"),
-         (["--h", "1e-307", "--seed", "7"], "their longest time 20/h finite"),
-         (["--h", "1e-310"], "their longest time 20/h finite"),
+        [(["--h", "8e307"], None),
+         (["--h", "1e308"], None),
+         (["--h", "1e308", "--J", "0"], None),
+         (["--h", "8e-308"], None),
+         (["--h", "1e-307", "--seed", "7"], None),
+         (["--h", "1e-310"], None),
          (["--h", "6.3e307"], None),
          (["--h", "8.9e307", "--J", "0"], None),
          (["--h", "1.2e-307", "--seed", "1"], None),
          (["--h", "1.2e-307", "--seed", "7"], None),
-         (["--h", "1.2e-307", "--seed", "42"], None)],
+         (["--h", "1.2e-307", "--seed", "42"], None),
+         (["--h", "1e308", "--J", "1"], "not J/h=1e-308"),
+         (["--h", "1", "--J", "1e308"], "not J/h=1e+308"),
+         (["--h", "1e-300", "--J", "1e308"], "J/h = inf is not finite")],
     )
     def test_runs_only_where_the_band_and_the_float_range_allow(self, capsys, flags, refusal):
-        # (a) J = 0 or |J|/h in the band, judged on J/h as the CLI forms it; (b) Omega and
-        # operator-algebra's longest time t1 + t2 <= 20/h finite. Omega overflows from
-        # h = 6.36e307 at J = 2h and 8.99e307 at J = 0; 20/h below h = 1.11e-307
+        # J/h must be finite, and 0 or in the band. h itself may lie anywhere in the float
+        # range, down to subnormals and up to where 2h and Omega overflow: the suites run on
+        # (1, J/h), so such an h prints what (1, J/h) prints
         code = main(["verify", *flags])
         out, err = capsys.readouterr()
         if refusal is None:
             assert code == 0 and out.endswith("11/11 suites passed\n") and err == ""
+            assert main(["verify", *flags[2:]]) == 0  # without --h: J = 2h and J = 0 keep J/h
+            assert capsys.readouterr().out == out
         else:
             assert code == 2 and out == "" and err.count("error:") == 1, err
-            assert refusal in err and f"h={float(flags[1])!r}, J=" in err
-            assert "reduce J/h" not in err and "Traceback" not in err
+            assert refusal in err and "Traceback" not in err
 
     @pytest.mark.parametrize("h, j", [("1", "1000"), ("3", "0.001")])
     def test_scan_suite_passes_far_from_unit_coupling(self, capsys, h, j):
@@ -497,9 +500,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("h", ["1e-200", "1", "1e200"])
     def test_passes_inside_the_coupling_band_and_exits_2_outside(self, capsys, h):
-        # |J|/h across the float range, dense at the band's edges 3e-4 and 1e4: some
-        # suite fails at 1e-4 (h = 1e200), 1.5e4 (h = 1e200) and 2e4 (h = 1e-200). At
-        # h = 1e-200 the smallest couplings underflow to J = 0, which passes too
+        # |J|/h across the float range, dense at the band's edges 3e-4 and 1e4. The suites
+        # run on (1, J/h), so J/h alone decides: at this seed small-t-quartic fails at 1e-5,
+        # and over 40 seeds some suite fails at 1e-4 and at 2e4. At h = 1e-200 the smallest
+        # couplings underflow to J = 0, which passes too
         low, high = verify.COUPLING_BAND
         ratios = [1e-160, 1e-60, 1e-8, 1e-5, 1e-4, 2.9e-4, 3e-4, 3.1e-4, 1e-3, 1.0, 1e3,
                   9.9e3, 1e4, 1.01e4, 1.5e4, 2e4, 1e5, 1e8]
@@ -508,7 +512,7 @@ class TestVerify:
             code = main(["verify", "--h", h, f"--J={j!r}"])
             out, err = capsys.readouterr()
             assert "Traceback" not in out + err
-            if j == 0.0 or low <= abs(j) / float(h) <= high:
+            if j / float(h) == 0.0 or low <= abs(j / float(h)) <= high:
                 assert code == 0 and out.endswith("11/11 suites passed\n"), (h, j, out)
             else:
                 assert code == 2 and out == "" and err.count("error:") == 1, (h, j, err)
@@ -680,10 +684,21 @@ ROW_COMMANDS = [
 ]
 
 
+def command_output(argv, out):
+    """What a command writes: its CSV at out, or verify's table. verify's
+    stdout is redirected, because hypothesis refuses the function-scoped capsys."""
+    if argv[0] == "verify":
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == 0
+        return stdout.getvalue().encode()
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 class TestUnitContract:
-    """The CLI runs every row on the model (1, J/h): energies print in units
-    of h and times read in units of 1/h, so runs that share g = J/h write the
-    same bytes at every h."""
+    """The CLI runs every command on the model (1, J/h): energies print in
+    units of h and times read in units of 1/h, so runs that share g = J/h
+    write the same bytes at every h."""
 
     def test_unitary_row_is_in_units_of_h(self):
         values = sweep_values("unitary", RunConfig(h=2.0, J=4.0, k_points=3))
@@ -693,34 +708,34 @@ class TestUnitContract:
         st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
         st.sampled_from([2.0, -3.0, 0.5, 0.0]),
     )
-    @example(h=0.7, g=2.0)  # J = 1.4: converting back from absolute units moved the k = -1 row
+    # J = 1.4: converting back from absolute units moved the k = -1 row, and the
+    # self-checks at (h, J) printed other residuals than at (1, J/h)
+    @example(h=0.7, g=2.0)
     @example(h=2.0, g=2.0)
     @example(h=1e200, g=2.0)
     @example(h=1e-200, g=2.0)
     @settings(max_examples=20, deadline=None)
-    def test_rows_depend_only_on_g(self, tmp_path_factory, h, g):
+    def test_outputs_depend_only_on_g(self, tmp_path_factory, h, g):
         assume((g * h) / h == g)
         tmp = tmp_path_factory.mktemp("units")
         scaled, unit = tmp / "scaled.csv", tmp / "unit.csv"
-        for command in ROW_COMMANDS:
-            assert main([*command, f"--h={h!r}", f"--J={g * h!r}", "--out", str(scaled)]) == 0
-            assert main([*command, f"--J={g!r}", "--out", str(unit)]) == 0
-            assert scaled.read_bytes() == unit.read_bytes(), (command, h, g)
+        for command in [*ROW_COMMANDS, ["verify"]]:
+            assert (command_output([*command, f"--h={h!r}", f"--J={g * h!r}"], scaled)
+                    == command_output([*command, f"--J={g!r}"], unit)), (command, h, g)
 
     @pytest.mark.parametrize(
         "command, j",
         [(["sweep", "separable", *SEARCH_SMALL], "1"),
          (["sweep", "entangled", *SEARCH_SMALL], None),
-         (["mps", "--grid-n", "5"], "0")],
+         (["mps", "--grid-n", "5"], "0"),
+         (["verify"], None)],
     )
     def test_fields_where_2h_overflows_run_in_units_of_h(self, tmp_path, command, j):
         # 2h overflows from h = 8.99e307; the model (1, J/h) never forms it
-        scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
         coupling = [] if j is None else [f"--J={j}"]
-        assert main([*command, "--h", "1e308", *coupling, "--out", str(scaled)]) == 0
+        scaled = command_output([*command, "--h", "1e308", *coupling], tmp_path / "scaled.csv")
         coupling = [] if j is None else [f"--J={float(j) / 1e308!r}"]
-        assert main([*command, *coupling, "--out", str(unit)]) == 0
-        assert scaled.read_bytes() == unit.read_bytes()
+        assert scaled == command_output([*command, *coupling], tmp_path / "unit.csv")
 
     @pytest.mark.parametrize("command", ROW_COMMANDS)
     def test_coupling_ratio_beyond_the_float_range_exits_2(self, tmp_path, capsys, command):

@@ -17,7 +17,7 @@ from qbattery.protocol import (
 )
 
 BASE = HamiltonianSpec(h=0.8, J=1.7)
-SCALES = (0.5, 2.0, 3.0)
+SCALES = (0.5, 2.0, 3.0, 1e-200, 1e200)
 
 
 def scaled(spec, lam):
