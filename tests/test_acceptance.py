@@ -215,6 +215,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     shared = ["--k-points", "5", "--budget", "2000", "--seed", "31"]
     jobs = (
         ["sweep", "separable", *shared],
+        ["sweep", "entangled", *shared],
         ["inset", "fig2", *shared],
         ["mps", "--grid-n", "11"],
     )

@@ -6,7 +6,6 @@ import io
 import itertools
 import math
 import os
-import re
 
 import numpy as np
 import pytest
@@ -195,17 +194,6 @@ class TestOptionsPerSubcommand:
 
 
 class TestSweep:
-    def test_unitary_values_follow_the_closed_form(self, tmp_path):
-        out = tmp_path / "u.csv"
-        assert main(["sweep", "unitary", "--out", str(out)]) == 0
-        header, rows = read_csv(out)
-        assert header == ["k", "value", "converged", "samples", "seed"]
-        assert len(rows) == 81
-        for row in rows:
-            k, value = float(row[0]), float(row[1])
-            expected = 2.0 * k if k >= 0 else 0.0
-            assert abs(value - expected) < 1e-10
-
     def test_stochastic_sweep_row_shape(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "separable", *SMALL, "--out", str(out)]) == 0
@@ -215,13 +203,6 @@ class TestSweep:
             assert row[2] in ("true", "false")
             assert int(row[3]) <= 2000
             int(row[4])  # per-point seed parses as an integer
-
-    def test_identical_runs_are_byte_identical(self, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        main(["sweep", "entangled", *SMALL, "--out", str(first)])
-        main(["sweep", "entangled", *SMALL, "--out", str(second)])
-        assert first.read_bytes() == second.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         one = tmp_path / "one.csv"
@@ -288,12 +269,6 @@ class TestSweep:
         assert main(["sweep", "unitary", "--out", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_plot_script_references_csv(self, tmp_path):
-        out = tmp_path / "u.csv"
-        script = tmp_path / "plot.py"
-        main(["sweep", "unitary", "--out", str(out), "--plot-script", str(script)])
-        assert str(out) in script.read_text()
-
 
 class TestOutputs:
     """The CSV emitter that sweep, inset and mps share."""
@@ -347,12 +322,24 @@ class TestInset:
         assert entropies[2] == pytest.approx(1.0)
 
 
-class TestVerify:
-    def test_default_run_passes(self, capsys):
-        assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+# verify's suites in the order it runs them; every "N/N suites passed" below reads N here
+SUITES = [
+    "operator-algebra",
+    "passive-ergotropy",
+    "measurement-protocol",
+    "closed-form-vs-oracle",
+    "small-t-quartic",
+    "excited-drain",
+    "entanglement-entropy",
+    "zero-coupling-pointwise",
+    "zero-coupling-optimized",
+    "mps-scan",
+    "optimum-bound",
+]
+ALL_PASSED = f"{len(SUITES)}/{len(SUITES)} suites passed\n"
 
+
+class TestVerify:
     def test_tampered_tolerance_fails(self, monkeypatch, capsys):
         # agreement between the closed form and the oracle is ~4e-16, so a
         # 1e-17 tolerance must trip the failure path
@@ -361,26 +348,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-oracle" in out
 
-    @pytest.mark.parametrize("h, j", [(2.0, 4.0), (0.5, 1.0)])
-    def test_every_suite_passes_away_from_unit_field(self, h, j):
-        failed = [r.name for r in run_suites(HamiltonianSpec(h, j), 123456789) if not r.passed]
-        assert failed == []
+    @pytest.mark.parametrize("h, j", [(2.0, 4.0), (0.5, 1.0), (1e200, -1e200)])
+    def test_results_depend_only_on_j_over_h(self, h, j):
+        # residuals and notes too, not only the verdicts
+        assert run_suites(HamiltonianSpec(h, j), 123456789) == run_suites(
+            HamiltonianSpec(1.0, j / h), 123456789)
 
     def test_optimum_bound_is_appended_after_the_other_suites(self):
-        names = [r.name for r in run_suites(HamiltonianSpec(1.0, 4.0), 5)]
-        assert names == [
-            "operator-algebra",
-            "passive-ergotropy",
-            "measurement-protocol",
-            "closed-form-vs-oracle",
-            "small-t-quartic",
-            "excited-drain",
-            "entanglement-entropy",
-            "zero-coupling-pointwise",
-            "zero-coupling-optimized",
-            "mps-scan",
-            "optimum-bound",
-        ]
+        assert [r.name for r in run_suites(HamiltonianSpec(1.0, 4.0), 5)] == SUITES
 
     @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0)])
     @pytest.mark.parametrize(
@@ -443,15 +418,6 @@ class TestVerify:
         assert not result.passed
         assert math.isnan(result.residual)
 
-    @pytest.mark.parametrize("h, j", [("1e200", "2e200"), ("1e-200", "2e-200")])
-    def test_passes_at_extreme_scales(self, capsys, h, j):
-        assert main(["verify", "--h", h, "--J", j]) == 0
-        out, err = capsys.readouterr()
-        assert "11/11 suites passed" in out and "FAIL" not in out
-        assert "Traceback" not in out + err
-        residuals = [float(x) for x in re.findall(r"max_residual=(\S+)", out)]
-        assert len(residuals) == 11 and all(math.isfinite(r) for r in residuals)
-
     @pytest.mark.parametrize(
         "flags, refusal",
         [(["--h", "8e307"], None),
@@ -476,54 +442,35 @@ class TestVerify:
         code = main(["verify", *flags])
         out, err = capsys.readouterr()
         if refusal is None:
-            assert code == 0 and out.endswith("11/11 suites passed\n") and err == ""
+            assert code == 0 and out.endswith(ALL_PASSED) and err == ""
             assert main(["verify", *flags[2:]]) == 0  # without --h: J = 2h and J = 0 keep J/h
             assert capsys.readouterr().out == out
         else:
             assert code == 2 and out == "" and err.count("error:") == 1, err
             assert refusal in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("h, j", [("1", "1000"), ("3", "0.001")])
-    def test_scan_suite_passes_far_from_unit_coupling(self, capsys, h, j):
-        # small-t-quartic holds for J/h from about 3e-4 to 1e4, so every suite
-        # passes at (1, 1000) and at J/h = 3.3e-4, the passivity scan with them
-        assert main(["verify", "--h", h, "--J", j]) == 0
-        assert "PASS mps-scan" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("j", ["0.001", "0.01", "64", "-50", "-1e3", "1000", "1e4"])
-    def test_quartic_law_holds_far_from_unit_coupling(self, capsys, j):
-        # the fit times sit at fixed phases Omega t, so they stay in the t^4 regime.
-        # '=' joins the value, so argparse reads -1e3 as one, not as an option
-        assert main(["verify", f"--J={j}"]) == 0
-        out = capsys.readouterr().out
-        assert "11/11 suites passed" in out and "PASS small-t-quartic" in out
-
     @pytest.mark.parametrize("h", ["1e-200", "1", "1e200"])
     def test_passes_inside_the_coupling_band_and_exits_2_outside(self, capsys, h):
         # |J|/h across the float range, dense at the band's edges 3e-4 and 1e4. The suites
         # run on (1, J/h), so J/h alone decides: at this seed small-t-quartic fails at 1e-5,
-        # and over 40 seeds some suite fails at 1e-4 and at 2e4. At h = 1e-200 the smallest
-        # couplings underflow to J = 0, which passes too
+        # and over 40 seeds some suite fails at 1e-4 and at 2e4. Inside the band the quartic
+        # fit holds because its times sit at fixed phases Omega t, and from J/h = 10 the
+        # passivity scan's probe stays inside its window t < 1/Omega. At h = 1e-200 the
+        # smallest couplings underflow to J = 0, which passes too. '=' joins the value, so
+        # argparse reads a negative J as one, not as an option
         low, high = verify.COUPLING_BAND
-        ratios = [1e-160, 1e-60, 1e-8, 1e-5, 1e-4, 2.9e-4, 3e-4, 3.1e-4, 1e-3, 1.0, 1e3,
-                  9.9e3, 1e4, 1.01e4, 1.5e4, 2e4, 1e5, 1e8]
+        ratios = [1e-160, 1e-60, 1e-8, 1e-5, 1e-4, 2.9e-4, 3e-4, 3.1e-4, 1 / 3000, 1e-3, 0.01,
+                  1.0, 10.0, 20.0, 50.0, 64.0, 1e3, 9.9e3, 1e4, 1.01e4, 1.5e4, 2e4, 1e5, 1e8]
         for g, sign in itertools.product(ratios, (1, -1)):
             j = sign * g * float(h)
             code = main(["verify", "--h", h, f"--J={j!r}"])
             out, err = capsys.readouterr()
             assert "Traceback" not in out + err
             if j / float(h) == 0.0 or low <= abs(j / float(h)) <= high:
-                assert code == 0 and out.endswith("11/11 suites passed\n"), (h, j, out)
+                assert code == 0 and out.endswith(ALL_PASSED), (h, j, out)
             else:
                 assert code == 2 and out == "" and err.count("error:") == 1, (h, j, err)
                 assert err.startswith("error: the self-check suites resolve")
-
-    @pytest.mark.parametrize("j", ["10", "20"])
-    def test_strong_coupling_passes(self, capsys, j):
-        # a probe time of 0.1/h would leave the scan's window t < 1/Omega here
-        assert main(["verify", "--J", j]) == 0
-        out = capsys.readouterr().out
-        assert "11/11 suites passed" in out and "(passive points: 1)" in out
 
     def test_decoupled_regime_passes(self, capsys):
         assert main(["verify", "--J", "0"]) == 0
@@ -546,13 +493,6 @@ class TestMps:
         assert float(passive[0][0]) == 1.0
         assert float(passive[0][1]) == pytest.approx(np.pi)
 
-    def test_scan_is_deterministic(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        main(["mps", "--grid-n", "7", "--out", str(a)])
-        main(["mps", "--grid-n", "7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("j", ["2", "0"])
     def test_no_cell_prints_negative_zero(self, tmp_path, j):
         out = tmp_path / "mps.csv"
@@ -566,7 +506,7 @@ class TestMps:
         assert main(["mps", "--grid-n", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("j", ["10", "50", "0.1", "-0.3", "64", "1000", "1e4", "1e7"])
+    @pytest.mark.parametrize("j", ["10", "50", "0.1", "0.3", "-0.3", "64", "1000", "1e4", "1e7"])
     def test_strong_coupling_scan_finds_only_the_ground_state(self, tmp_path, capsys, j):
         # and at weak coupling: the sign of w_p, not a threshold, decides passivity
         out = tmp_path / "mps.csv"
@@ -677,6 +617,8 @@ SEARCH_SMALL = ["--k-points", "2", "--budget", "20000", "--threads", "1"]
 ROW_COMMANDS = [
     ["sweep", "unitary", "--k-points", "5"],
     ["sweep", "separable", *SEARCH_SMALL],
+    # nine points, so that interior rows are compared too, not only k = -1 and 1
+    ["sweep", "separable", "--k-points", "9", "--budget", "20000", "--threads", "1"],
     ["sweep", "entangled", *SEARCH_SMALL],
     ["inset", "fig2", *SEARCH_SMALL],
     ["inset", "fig3", *SEARCH_SMALL],
@@ -727,8 +669,7 @@ class TestUnitContract:
         "command, j",
         [(["sweep", "separable", *SEARCH_SMALL], "1"),
          (["sweep", "entangled", *SEARCH_SMALL], None),
-         (["mps", "--grid-n", "5"], "0"),
-         (["verify"], None)],
+         (["mps", "--grid-n", "5"], "0")],
     )
     def test_fields_where_2h_overflows_run_in_units_of_h(self, tmp_path, command, j):
         # 2h overflows from h = 8.99e307; the model (1, J/h) never forms it
