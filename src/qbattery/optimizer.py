@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class OptimizationReport:
     best_basis: MeasurementBasis
     samples_used: int
     converged: bool
-    trace: list[tuple[int, float]] = field(repr=False)
     seed: int
 
 
@@ -337,11 +336,9 @@ def optimize(
     every step until it falls below 1e-9 of the box or the next step would
     overrun the budget. Refinement draws no random numbers.
 
-    ``trace`` lists (evaluations spent, best value) each time the best value
-    rises: during exploration the index is that of the improving sample,
-    during refinement the end of the improving step. ``converged`` reports
-    whether the trailing ceil(budget/5) exploration samples still moved the
-    running best by 1e-2 * h or more (refinement steps are not judged).
+    ``converged`` reports whether the best exploration value beats the best
+    of the samples before the trailing ceil(budget/5) by less than 1e-2 * h
+    (refinement steps are not judged).
     Raises DomainError when no exploration value is finite.
     """
     if budget < 1:
@@ -350,21 +347,21 @@ def optimize(
     rng = make_rng(seed)
     span = space.span
 
-    best = -math.inf
-    best_x: np.ndarray | None = None
-    trace: list[tuple[int, float]] = []
-    pool_x, pool_f = [], []  # each chunk's 4 * _LEADERBOARD_SIZE best points and values
-
     n_explore = max(1, (4 * budget) // 5)
+    # convergence is judged on exploration: did the trailing ceil(budget/5)
+    # samples, those after sample number cut, move the best by >= 1e-2 h?
+    cut = max(n_explore - math.ceil(budget / 5), 1)
+    best = baseline = -math.inf  # baseline: the best of samples 1..cut
+    best_x: np.ndarray | None = None
+    pool_x, pool_f = [], []  # each chunk's 4 * _LEADERBOARD_SIZE best points and values
     for used in range(0, n_explore, SAMPLE_CHUNK):
         pts = sample_batch(space, rng, min(SAMPLE_CHUNK, n_explore - used))
         vals = evaluator(pts)
-        if vals.max() > best:  # else no sample of this chunk rises
-            running = np.maximum.accumulate(np.concatenate(([best], vals)))  # best before each
-            for j in np.flatnonzero(vals > running[:-1]):
-                best = float(vals[j])
-                best_x = pts[j].copy()
-                trace.append((used + j + 1, best))
+        if used < cut:
+            baseline = max(baseline, float(vals[: cut - used].max()))
+        j = int(np.argmax(vals))  # the first of the chunk's best
+        if vals[j] > best:
+            best, best_x = float(vals[j]), pts[j].copy()
         first = max(len(vals) - 4 * _LEADERBOARD_SIZE, 0)
         top = np.argpartition(vals, first)[first:]
         pool_x.append(pts[top])
@@ -373,11 +370,6 @@ def optimize(
     if best == -math.inf:
         raise DomainError(f"w_p is not finite at any of {n_explore} samples for h={spec.h}, "
                           f"J={spec.J}, t_max={space.t_max}: phases beyond the float range")
-    # convergence is judged on exploration: did the trailing ceil(budget/5)
-    # samples, those after sample number cut, move the running best by >= 1e-2 h?
-    # trace holds every rise, so its last entry up to cut is the best before them
-    cut = max(n_explore - math.ceil(budget / 5), 1)
-    baseline = max((value for index, value in trace if index <= cut), default=-math.inf)
     converged = (best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
     # every leader zooms: the best exploration point need not sit in the
     # basin of the best optimum
@@ -396,11 +388,10 @@ def optimize(
         lead = int(np.argmax(fs))
         if fs[lead] > best:
             best, best_x = float(fs[lead]), xs[lead].copy()
-            trace.append((used, best))
         width /= 2.0
 
     return OptimizationReport(
-        best, best_x, evaluator.best_basis(best_x), used, converged, trace, seed
+        best, best_x, evaluator.best_basis(best_x), used, converged, seed
     )
 
 

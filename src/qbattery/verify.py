@@ -247,7 +247,7 @@ def suite_entropy() -> SuiteResult:
     return _result("entanglement-entropy", worst, 1e-10)
 
 
-def suite_zero_coupling_pointwise(spec: HamiltonianSpec, rng) -> SuiteResult:
+def suite_zero_coupling_pointwise(rng) -> SuiteResult:
     decoupled, n = HamiltonianSpec(1.0, 0.0), 200
     rho0 = separable_initial(2.0 * rng.random(n) - 1.0, _random_aux(rng, n))
     basis = _random_basis(rng, n)
@@ -257,7 +257,7 @@ def suite_zero_coupling_pointwise(spec: HamiltonianSpec, rng) -> SuiteResult:
     return _result("zero-coupling-pointwise", _worst(np.abs(w_p)), 1e-12, note)
 
 
-def suite_zero_coupling_optimized(spec: HamiltonianSpec, seed: int) -> SuiteResult:
+def suite_zero_coupling_optimized(seed: int) -> SuiteResult:
     space = SearchSpace(family="separable", k=0.0, t_max=WINDOW)
     report = optimize(space, HamiltonianSpec(1.0, 0.0), budget=2000, seed=seed)
     return _result("zero-coupling-optimized", abs(report.best_value), 1e-2, "w_p in units of h")
@@ -316,8 +316,8 @@ def run_suites(spec: HamiltonianSpec, seed: int) -> list[SuiteResult]:
         suite_small_t_quartic(spec, streams[4]),
         suite_excited_drain(spec),
         suite_entropy(),
-        suite_zero_coupling_pointwise(spec, streams[5]),
-        suite_zero_coupling_optimized(spec, derive_seed(seed, 6)),
+        suite_zero_coupling_pointwise(streams[5]),
+        suite_zero_coupling_optimized(derive_seed(seed, 6)),
         suite_mps_uniqueness(spec),
         suite_optimum_bound(spec, derive_seed(seed, 7)),
     ]

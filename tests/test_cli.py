@@ -414,7 +414,9 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "run_protocol", nan_oracle)
         rng = np.random.default_rng(3)
-        result = getattr(verify, f"suite_{suite}")(HamiltonianSpec(), rng)
+        # the zero-coupling suite runs at J = 0 by design and takes no spec
+        args = (rng,) if suite == "zero_coupling_pointwise" else (HamiltonianSpec(), rng)
+        result = getattr(verify, f"suite_{suite}")(*args)
         assert not result.passed
         assert math.isnan(result.residual)
 

@@ -7,21 +7,19 @@ search returns, such as which refinement starts _select_leaders picks,
 re-records them with ``PYTHONPATH=src python tests/test_optimizer_pinned.py``
 in a commit of its own that names every report that moved.
 
-The reports hold per numpy ``tan`` path: numpy's AVX-512 and scalar ``tan``
-differ in the last bit at a few arguments, which moves a few ``trace``
-entries. The path is named by its fingerprint, the sha256 of
-``np.tan(np.linspace(0.0, 20.0, 4097)).tobytes()``. The full record holds
-under BASE_TAN (the AVX-512 path); data/optimize_reports_tan.json maps every
-other known fingerprint to the reports that differ there. Running this file
-under another path, for instance with
-``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` on an AVX-512
-machine, records that path's differences there instead.
+One record holds on every numpy ``tan`` path. numpy's AVX-512 and scalar
+``tan`` differ in the last bit at a few arguments, but no reported value
+moves with them; a child interpreter under SCALAR_TAN checks that on every
+machine where numpy can switch to the scalar path.
 """
 
 import hashlib
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,8 +28,8 @@ from qbattery.battery import HamiltonianSpec
 from qbattery.optimizer import SearchSpace, optimize
 
 RECORD = pathlib.Path(__file__).with_name("data") / "optimize_reports.json"
-TAN_RECORD = RECORD.with_name("optimize_reports_tan.json")
-BASE_TAN = "e0c6cfc2492bff3e5a0146283454cbec777ecaad816f39faf9984bfbd18d1c93"
+# numpy's features to disable for its scalar tan on an AVX-512 machine
+SCALAR_TAN = "X86_V4 AVX512_ICL AVX512_SPR"
 SPECS = [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0), (0.5, -3.0), (1.0, 1e308)]
 KS = [-1.0, -0.5, 0.0, 0.3, 1.0]
 BUDGETS = [30, 2500, 30_000]  # 30: a chunk smaller than the 32 candidates each chunk keeps
@@ -50,13 +48,13 @@ def report_record(case):
     return {
         "best_value": report.best_value.hex(),
         "best_params": [float(x).hex() for x in report.best_params],
-        "trace": [[int(n), v.hex()] for n, v in report.trace],
         "samples_used": report.samples_used,
         "converged": report.converged,
     }
 
 
-def tan_fingerprint():
+def tan_digest():
+    """Names this process's np.tan path."""
     return hashlib.sha256(np.tan(np.linspace(0.0, 20.0, 4097)).tobytes()).hexdigest()
 
 
@@ -64,51 +62,44 @@ def load():
     return json.loads(RECORD.read_text(encoding="ascii"))
 
 
-def load_tan():
-    return json.loads(TAN_RECORD.read_text(encoding="ascii"))
-
-
-def expected(case):
-    """The pinned report of ``case`` on this process's tan path."""
-    fingerprint = tan_fingerprint()
-    records = {BASE_TAN: [], **load_tan()}
-    if fingerprint not in records:
-        pytest.fail(f"no pinned record for the np.tan fingerprint {fingerprint}; "
-                    f"record one by running this file under that numpy")
-    return next(e for e in records[fingerprint] + load() if e["case"] == case)["report"]
-
-
 @pytest.mark.parametrize("case", cases(), ids="{family}-h{h}-J{J}-k{k}-b{budget}".format_map)
 def test_report_is_bit_identical_to_the_record(case):
-    assert report_record(case) == expected(case)
+    assert report_record(case) == next(e["report"] for e in load() if e["case"] == case)
 
 
 def test_record_covers_the_case_set():
     assert [entry["case"] for entry in load()] == list(cases())
 
 
-def test_tan_records_differ_from_the_full_record():
-    full = {json.dumps(entry["case"]): entry["report"] for entry in load()}
-    for fingerprint, changed in load_tan().items():
-        assert fingerprint != BASE_TAN
-        for entry in changed:
-            assert full[json.dumps(entry["case"])] != entry["report"], (fingerprint, entry["case"])
+# ImportWarning is numpy's word that it refuses NPY_DISABLE_CPU_FEATURES
+CHILD = """
+import json, warnings
+with warnings.catch_warnings():
+    warnings.simplefilter("error", ImportWarning)
+    import numpy
+import test_optimizer_pinned as pins
+reports = [pins.report_record(case) for case in pins.cases()]
+print(json.dumps({"tan": pins.tan_digest(), "reports": reports}))
+"""
 
 
-def test_unknown_tan_path_fails_naming_its_fingerprint(monkeypatch):
-    monkeypatch.setitem(globals(), "tan_fingerprint", lambda: "f" * 64)
-    with pytest.raises(pytest.fail.Exception, match="f" * 64):
-        expected(next(cases()))
+def test_record_holds_on_the_scalar_tan_path():
+    path = os.pathsep.join(filter(None, [str(RECORD.parents[2] / "src"), str(RECORD.parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": SCALAR_TAN}
+    run = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True,
+                         timeout=300)
+    if run.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={SCALAR_TAN!r}: "
+                    + " ".join(run.stderr.split("ImportWarning:")[-1].split()))
+    assert run.returncode == 0, run.stderr
+    child = json.loads(run.stdout)
+    if child["tan"] == tan_digest():
+        pytest.skip(f"one np.tan path only: disabling {SCALAR_TAN} leaves it unchanged")
+    assert child["reports"] == [entry["report"] for entry in load()]
 
 
 if __name__ == "__main__":
-    fingerprint = tan_fingerprint()
     entries = [{"case": case, "report": report_record(case)} for case in cases()]
-    if fingerprint == BASE_TAN:
-        RECORD.write_text(json.dumps(entries, indent=1) + "\n", encoding="ascii")
-        print(f"recorded {len(entries)} reports to {RECORD}")
-    else:
-        changed = [entry for entry, base in zip(entries, load()) if entry != base]
-        records = {**load_tan(), fingerprint: changed}
-        TAN_RECORD.write_text(json.dumps(records, indent=1) + "\n", encoding="ascii")
-        print(f"recorded {len(changed)} reports for tan path {fingerprint[:8]} to {TAN_RECORD}")
+    RECORD.write_text(json.dumps(entries, indent=1) + "\n", encoding="ascii")
+    print(f"recorded {len(entries)} reports to {RECORD}")
