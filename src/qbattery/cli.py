@@ -23,7 +23,7 @@ import numpy as np
 from . import analytic, verify
 from .battery import HamiltonianSpec, battery_state, ergotropy
 from .errors import ConfigError, DomainError
-from .optimizer import FAMILIES, SearchSpace, derive_seed, optimize
+from .optimizer import FAMILIES, SearchSpace, check_phase, derive_seed, optimize
 
 DEFAULT_SEED = 123456789
 DEFAULT_BUDGET = 200_000
@@ -31,9 +31,6 @@ DEFAULT_BUDGET = 200_000
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
-
-# a search needs phases that resolve: one ulp of Omega t_max must stay below this
-MAX_PHASE_ULP = 1e-6  # rad
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,6 @@ class RunConfig:
             raise ConfigError(f"need -1 <= k_min <= k_max <= 1, got [{self.k_min}, {self.k_max}]")
         if self.budget < 1:
             raise ConfigError(f"budget must be at least 1, got {self.budget}")
-        if not self.t_max > 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
 
@@ -81,17 +76,6 @@ class RunConfig:
 
     def k_grid(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.k_points)
-
-
-def _check_phase(phase: float, cfg: RunConfig) -> None:
-    """Raise DomainError, naming the user's h, J and t_max (in 1/h), unless
-    the search phase Omega*t_max resolves: one ulp of it must stay below
-    MAX_PHASE_ULP."""
-    if math.ulp(phase) > MAX_PHASE_ULP:
-        raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
-                          f"{MAX_PHASE_ULP:g} rad per ulp of t for h={cfg.h}, "
-                          f"J={'2h' if cfg.J is None else cfg.J}, t_max={cfg.t_max} (in 1/h): "
-                          f"shorten t_max or reduce J/h")
 
 
 def _optimize_task(task) -> tuple[float, float, bool, int, int]:
@@ -110,11 +94,11 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
     if family == "unitary":
         values = ergotropy(battery_state(ks), spec)
         return [(float(k), float(v), True, 0, cfg.seed) for k, v in zip(ks, values)]
-    _check_phase(spec.omega * cfg.t_max, cfg)
     tasks = [
         (SearchSpace(family, float(k), cfg.t_max), spec, cfg.budget, derive_seed(cfg.seed, i))
         for i, k in enumerate(ks)
     ]
+    check_phase(cfg.t_max, spec)  # before the pool starts
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity masks on macOS and Windows

@@ -54,6 +54,7 @@ CONVERGENCE_WINDOW_TOL = 1e-2  # units of h, over the trailing budget/5 evaluati
 _LATTICE = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3)))
 _ZOOM_STOP = 1e-9  # refinement ends once the zoom width falls below this fraction of the box
 _WORK_ROWS = 8  # WpEvaluator workspace rows besides its output: the most a kernel holds at once
+MAX_PHASE_ULP = 1e-6  # rad: the most one ulp of t may move the search phase Omega*t_max
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class SearchSpace:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         check_population_bias(self.k)
-        if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
+        if not 0.0 < self.t_max < math.inf:
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
 
     @property
@@ -115,6 +116,19 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_phase(t_max: float, spec: HamiltonianSpec) -> None:
+    """Raise DomainError, naming J/h and t_max in units of 1/h, unless the
+    search phase Omega*t_max resolves: one ulp of it must stay below
+    MAX_PHASE_ULP, that is Omega*t_max < 2^33 rad, at every scale of h.
+    Beyond that a one-ulp step in t scrambles the phase, and a search would
+    sample noise."""
+    phase = spec.omega * t_max
+    if not math.ulp(phase) <= MAX_PHASE_ULP:
+        raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
+                          f"{MAX_PHASE_ULP:g} rad per ulp of t at J/h={spec.J / spec.h:g}, "
+                          f"t_max={spec.h * t_max:g}/h: shorten t_max or reduce J/h")
+
+
 def sample_batch(space: SearchSpace, rng: np.random.Generator, n: int) -> np.ndarray:
     """n parameter vectors drawn as one (n, 3) block from the stream, uniform in the box."""
     u = rng.random((n, 3))
@@ -126,9 +140,8 @@ def _half_tan(x, u, d):
     """u = tan(x/2) and d = 2/(1 + u^2), written in place (x may be u), so that
     sin(x) = u d and cos(x) = d - 1: one tangent instead of two scalar-loop
     calls, since numpy vectorises tan but not sin or cos on x86 (2.4 against
-    12 ns a point with AVX-512). Both are within a few ulp, tan(x/2) is finite
-    for every finite x (so 1 + u^2 cannot overflow), and a non-finite x gives
-    NaN."""
+    12 ns a point with AVX-512). Both are within a few ulp, and tan(x/2) is
+    finite for every finite x (so 1 + u^2 cannot overflow)."""
     np.multiply(x, 0.5, out=u)  # x/2
     np.tan(u, out=u)  # u = tan(x/2)
     np.multiply(u, u, out=d)  # u^2
@@ -143,10 +156,10 @@ class WpEvaluator:
 
     The kernel is real arithmetic in units of h. With tau = h t, g = J/h and
     W = Omega/h, it reads the phases W tau = Omega t and g tau = J t as
-    protocol.joint_unitary forms them (so a value is finite exactly where the
-    oracle is), the amplitudes g/W = J/Omega and 2/W = 2h/Omega (at most 1 at
-    any scale of h and J) and the energies c/h = (k - 1, k + 1), and it
-    multiplies the result by h once at the end. Sines and cosines come from
+    protocol.joint_unitary forms them, the amplitudes g/W = J/Omega and
+    2/W = 2h/Omega (at most 1 at any scale of h and J) and the energies
+    c/h = (k - 1, k + 1), and it multiplies the result by h once at the
+    end. Sines and cosines come from
     half-angle tangents (_half_tan), and each family forms only those it
     reads: sin(W tau), sin(g tau) and cos(theta) for the separable family,
     both of W tau, g tau and phi and cos(theta) for the entangled one. With
@@ -181,11 +194,14 @@ class WpEvaluator:
     formulas above, so the values do not depend on the partition.
 
     Equals protocol.best_outcome at the basis ``best_basis`` returns, and is
-    at least its value at any other. A point whose phases leave the
-    floating-point range reads -inf.
+    at least its value at any other. The evaluator refuses, by check_phase, a
+    box whose phases do not resolve; inside an accepted box every phase is
+    finite, and so is every value, since both radicands are sums of
+    non-negative terms.
     """
 
     def __init__(self, space: SearchSpace, spec: HamiltonianSpec):
+        check_phase(space.t_max, spec)
         self.space = space
         self.spec = spec
         self._kappa = math.sqrt((1.0 - space.k) * (1.0 + space.k))
@@ -194,7 +210,6 @@ class WpEvaluator:
         # reused from one evaluator to the next, where one 512 KiB block would
         # be mapped afresh, and page-faulted, for each evaluator
         self._work = [np.empty(SAMPLE_CHUNK) for _ in range(_WORK_ROWS)]
-        self._bad = np.empty(SAMPLE_CHUNK, dtype=bool)
 
     def __call__(self, params) -> np.ndarray:
         p = np.atleast_2d(np.asarray(params, dtype=float))
@@ -208,15 +223,11 @@ class WpEvaluator:
     def _values(self, p, out):
         theta, phi, t = p.T
         work = [row[: len(p)] for row in self._work]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.space.family == SEPARABLE:
-                self._separable(theta, t, work, out)
-            else:
-                self._entangled(theta, phi, t, work, out)
-            out *= self.spec.h
-        bad = np.isfinite(out, out=self._bad[: len(p)])
-        np.logical_not(bad, out=bad)
-        np.copyto(out, -math.inf, where=bad)  # phases past the float range rank below all
+        if self.space.family == SEPARABLE:
+            self._separable(theta, t, work, out)
+        else:
+            self._entangled(theta, phi, t, work, out)
+        out *= self.spec.h
 
     def _separable(self, theta, t, work, out):
         k = self.space.k
@@ -339,7 +350,7 @@ def optimize(
     ``converged`` reports whether the best exploration value beats the best
     of the samples before the trailing ceil(budget/5) by less than 1e-2 * h
     (refinement steps are not judged).
-    Raises DomainError when no exploration value is finite.
+    Raises DomainError where check_phase refuses the box.
     """
     if budget < 1:
         raise ConfigError(f"budget must be at least 1, got {budget}")
@@ -351,26 +362,22 @@ def optimize(
     # convergence is judged on exploration: did the trailing ceil(budget/5)
     # samples, those after sample number cut, move the best by >= 1e-2 h?
     cut = max(n_explore - math.ceil(budget / 5), 1)
-    best = baseline = -math.inf  # baseline: the best of samples 1..cut
-    best_x: np.ndarray | None = None
+    baselines, leads = [], []  # per chunk: the best of samples 1..cut; the first best
     pool_x, pool_f = [], []  # each chunk's 4 * _LEADERBOARD_SIZE best points and values
     for used in range(0, n_explore, SAMPLE_CHUNK):
         pts = sample_batch(space, rng, min(SAMPLE_CHUNK, n_explore - used))
         vals = evaluator(pts)
         if used < cut:
-            baseline = max(baseline, float(vals[: cut - used].max()))
+            baselines.append(float(vals[: cut - used].max()))
         j = int(np.argmax(vals))  # the first of the chunk's best
-        if vals[j] > best:
-            best, best_x = float(vals[j]), pts[j].copy()
+        leads.append((float(vals[j]), pts[j].copy()))
         first = max(len(vals) - 4 * _LEADERBOARD_SIZE, 0)
         top = np.argpartition(vals, first)[first:]
         pool_x.append(pts[top])
         pool_f.append(vals[top])
 
-    if best == -math.inf:
-        raise DomainError(f"w_p is not finite at any of {n_explore} samples for h={spec.h}, "
-                          f"J={spec.J}, t_max={space.t_max}: phases beyond the float range")
-    converged = (best - baseline) < CONVERGENCE_WINDOW_TOL * spec.h
+    best, best_x = max(leads, key=lambda lead: lead[0])  # max keeps the first of the best
+    converged = (best - max(baselines)) < CONVERGENCE_WINDOW_TOL * spec.h
     # every leader zooms: the best exploration point need not sit in the
     # basin of the best optimum
     xs, fs = _select_leaders(np.concatenate(pool_x), np.concatenate(pool_f), span)

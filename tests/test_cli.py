@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from qbattery.battery import HamiltonianSpec, battery_state, ergotropy
 from qbattery.cli import RunConfig, build_parser, cmd_verify, main, resolve_config, sweep_values
-from qbattery.errors import ConfigError
+from qbattery.errors import ConfigError, DomainError
 from qbattery import analytic, verify
+from qbattery.optimizer import SearchSpace, WpEvaluator
 from qbattery.verify import run_suites
 
 
@@ -43,7 +44,6 @@ class TestRunConfig:
             {"k_min": 0.5, "k_max": -0.5},
             {"k_min": -2.0},
             {"budget": 0},
-            {"t_max": 0.0},
             {"threads": 0},
             {"h": 0.0},
             {"h": -1.0},
@@ -62,6 +62,15 @@ class TestRunConfig:
     def test_spec_is_the_model_in_units_of_h(self, h, j, g):
         # J/h is 2 when J is not given, so 2h, which overflows from h = 8.99e307, is never formed
         assert RunConfig(h=h, J=j).spec() == HamiltonianSpec(1.0, g)
+
+    @pytest.mark.parametrize("t_max", ["0", "nan"])
+    def test_bad_time_bound_exits_2_naming_the_search_space(self, tmp_path, capsys, t_max):
+        # RunConfig leaves t_max to SearchSpace, which also requires it to be finite
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "separable", f"--t-max={t_max}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: t_max must be positive and finite, got {float(t_max)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--h", "--J", "--k-min", "--k-max"])
     def test_non_numeric_flag_exits_2_before_run_config(self, tmp_path, capsys, flag):
@@ -230,21 +239,36 @@ class TestSweep:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the phase Omega*t_max") and "Traceback" not in err
-        assert f"h=1.0, J={float(j)!r}, t_max=10.0" in err
+        assert f"at J/h={float(j):g}, t_max=10/h: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--h", "1e-5", "--J", "1e5"], "h=1e-05, J=100000.0, t_max=10.0 (in 1/h)"),
-         (["--h", "4", "--t-max", "1e12"], "h=4.0, J=2h, t_max=1000000000000.0 (in 1/h)")],
+        [(["--h", "1e-5", "--J", "1e5"], "at J/h=1e+10, t_max=10/h: "),
+         (["--h", "4", "--t-max", "1e12"], "at J/h=2, t_max=1e+12/h: ")],
     )
-    def test_phase_error_names_the_scales_the_user_gave(self, tmp_path, capsys, flags, named):
-        # the search runs on (1, J/h), but the error names h, J and t_max as given
+    def test_phase_error_names_j_over_h_and_t_max(self, tmp_path, capsys, flags, named):
+        # the search runs on (1, J/h), and the error names J/h and t_max in units of 1/h
         out = tmp_path / "s.csv"
         assert main(["sweep", "separable", *flags, "--k-points", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the phase Omega*t_max") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("h", [2.0**-600, 1.0, 2.0**600])
+    def test_cli_refuses_what_the_library_refuses(self, tmp_path, capsys, h):
+        # one rule: the library refuses Omega t_max = 2^33 rad at every h; the CLI, on
+        # (1, J/h), refuses --t-max 2^32 with the same message and accepts the float below
+        with pytest.raises(DomainError) as refusal:
+            WpEvaluator(SearchSpace("separable", 0.0, t_max=2.0**32 / h), HamiltonianSpec(h, 0.0))
+        out = tmp_path / "s.csv"
+        flags = ["sweep", "separable", "--h", repr(h), "--J", "0", "--k-points", "2",
+                 "--budget", "100", "--threads", "1", "--out", str(out)]
+        assert main([*flags, "--t-max", repr(2.0**32)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {refusal.value}\n" and captured.out == ""
+        assert not out.exists()
+        assert main([*flags, "--t-max", repr(math.nextafter(2.0**32, 0.0))]) == 0
 
     def test_phases_that_resolve_pass_the_check(self, tmp_path):
         # Omega t_max = 4e9 rad: one ulp is 4.8e-7 rad, below the bound
@@ -574,6 +598,15 @@ class TestSweepValues:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return sizes
+
+    def test_refused_sweep_starts_no_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a refused sweep started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        with pytest.raises(DomainError, match=r"at J/h=1e\+10, t_max=10/h: "):
+            sweep_values("separable", RunConfig(J=1e10, k_points=5, threads=4))
 
     @pytest.mark.parametrize("threads, cpus, expected", [(None, 3, 3), (64, 3, 3), (2, 3, 2),
                                                          (64, 16, 5)])

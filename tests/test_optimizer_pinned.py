@@ -30,7 +30,7 @@ from qbattery.optimizer import SearchSpace, optimize
 RECORD = pathlib.Path(__file__).with_name("data") / "optimize_reports.json"
 # numpy's features to disable for its scalar tan on an AVX-512 machine
 SCALAR_TAN = "X86_V4 AVX512_ICL AVX512_SPR"
-SPECS = [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0), (0.5, -3.0), (1.0, 1e308)]
+SPECS = [(1.0, 2.0), (1.0, 0.0), (2.0, 4.0), (0.5, -3.0), (1.0, 100.0)]
 KS = [-1.0, -0.5, 0.0, 0.3, 1.0]
 BUDGETS = [30, 2500, 30_000]  # 30: a chunk smaller than the 32 candidates each chunk keeps
 

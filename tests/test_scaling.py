@@ -49,10 +49,11 @@ def test_run_protocol_scales(lam):
 @pytest.mark.parametrize("family", ["separable", "entangled"])
 @pytest.mark.parametrize("lam", SCALES)
 def test_evaluator_scales(family, lam):
-    space = SearchSpace(family, k=0.3)
+    # the box scales as its times do: t_max = 10 becomes 10/lambda
     rng = np.random.default_rng(5)
     params = rng.random((500, 3)) * [np.pi, 2.0 * np.pi, 10.0]
-    base = WpEvaluator(space, BASE)(params)
+    base = WpEvaluator(SearchSpace(family, k=0.3), BASE)(params)
+    space = SearchSpace(family, k=0.3, t_max=10.0 / lam)
     got = WpEvaluator(space, scaled(BASE, lam))(params / [1.0, 1.0, lam])
     assert np.max(np.abs(got - lam * base)) <= 1e-12 * lam * BASE.h
 
