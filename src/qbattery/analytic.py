@@ -44,15 +44,17 @@ def wp_closed_form(s, theta, spec: HamiltonianSpec, t):
     (1 / (4 (4h^2+J^2))) * [-4h^2 + (4h^2+J^2) cos(2Jt)
         - J^2 cos(2 sqrt(4h^2+J^2) t)] * (-1 + s^2 cos^2 theta),
 
-    evaluated as [(J/W)^2 sin^2(W t) - sin^2(J t)] (-1 + s^2 cos^2 theta) / 2
-    with W = spec.omega, the same value by (2h/W)^2 + (J/W)^2 = 1 and
-    cos 2x = 1 - 2 sin^2 x. The sin^2 form is better conditioned: at small t
-    the printed bracket cancels terms of order 1 down to one of order (ht)^4,
-    the sin^2 form only terms of order (Jt)^2. No squared energy appears, so
-    nothing over- or underflows. The result is exactly 0 at J = 0, and the
-    + 0.0 turns -0.0 into 0.0. s, theta and t may be arrays that broadcast.
+    evaluated as [(g/w)^2 sin^2(w tau) - sin^2(g tau)] (-1 + s^2 cos^2 theta) / 2
+    with g = J/h, w = sqrt(4h^2+J^2)/h and tau = h t (HamiltonianSpec), the
+    same value by (2/w)^2 + (g/w)^2 = 1 and cos 2x = 1 - 2 sin^2 x. The sin^2
+    form is better conditioned: at small t the printed bracket cancels terms
+    of order 1 down to one of order (ht)^4, the sin^2 form only terms of order
+    (Jt)^2. No energy appears outside tau, so nothing over- or underflows.
+    The result is exactly 0 at J = 0, and the + 0.0 turns -0.0 into 0.0. s,
+    theta and t may be arrays that broadcast.
     """
-    bracket = (spec.J / spec.omega) ** 2 * np.sin(spec.omega * t) ** 2 - np.sin(spec.J * t) ** 2
+    g, w, tau = spec.g, spec.w, spec.h * t
+    bracket = (g / w) ** 2 * np.sin(w * tau) ** 2 - np.sin(g * tau) ** 2
     return bracket * (-1.0 + s * s * np.cos(theta) ** 2) / 2.0 + 0.0
 
 
@@ -82,8 +84,10 @@ def wp_excited_oracle(spec: HamiltonianSpec, t):
 
 
 def wp_excited_closed_form(spec: HamiltonianSpec, t):
-    """2hJ^2 sin^2(sqrt(4h^2+J^2) t) / (4h^2+J^2), matching the oracle."""
-    return 2.0 * spec.h * (spec.J / spec.omega) ** 2 * np.sin(spec.omega * t) ** 2
+    """2hJ^2 sin^2(sqrt(4h^2+J^2) t) / (4h^2+J^2), matching the oracle,
+    evaluated as h [2 (g/w)^2 sin^2(w tau)] with tau = h t, so that 2h is never
+    formed."""
+    return spec.h * (2.0 * (spec.g / spec.w) ** 2 * np.sin(spec.w * (spec.h * t)) ** 2)
 
 
 def wp_excited_sine_variant(spec: HamiltonianSpec, t):
@@ -93,17 +97,19 @@ def wp_excited_sine_variant(spec: HamiltonianSpec, t):
     carries units of energy^2 * time (hbar = 1), so the expression is
     dimensionally inconsistent and does not match the simulation. The
     sin^2(sqrt(4h^2+J^2) t) form does. Where (4h^2+J^2)*t is not finite
-    (it overflows at large h or J) the variant is NaN.
+    (it overflows at large h or J) the variant is NaN. Its absolute phase is
+    the one place the model forms sqrt(4h^2+J^2) from h and J.
     """
-    omega = spec.omega
+    omega = math.hypot(2.0 * spec.h, spec.J)
     with np.errstate(invalid="ignore"):
         return 2.0 * spec.h * (spec.J / omega) ** 2 * np.sin(omega * omega * t)
 
 
 def excited_quarter_period(spec: HamiltonianSpec) -> float:
-    """Time of the first extraction maximum for the excited-battery drain.
-    Halving pi, not doubling Omega, keeps it non-zero where 2 Omega overflows."""
-    return 0.5 * math.pi / spec.omega
+    """Time of the first extraction maximum for the excited-battery drain,
+    t = tau/h at tau = (pi/2)/w. It overflows where h is below about
+    (pi/2)/(w * 1.8e308); the drain's maximum itself, 2h (g/w)^2, forms no time."""
+    return 0.5 * math.pi / spec.w / spec.h
 
 
 def entanglement_entropy(k):
@@ -142,40 +148,42 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec) -> MpsScanReport:
     """Scan battery states (s, theta) for measurement passivity.
 
     Each grid point scores the reference protocol at the probe time
-    t = min(0.1/h, 0.5/Omega), as wp_closed_form evaluated on the whole grid
-    at once; the fully excited corner (s=1, theta=0) also scores the
-    excited-battery drain at its quarter period, as wp_excited_closed_form.
+    tau = h t = min(0.1, 0.5/w), as wp_closed_form evaluated on the whole
+    grid at once; the fully excited corner (s=1, theta=0) also scores the
+    excited-battery drain at its maximum, 2h (g/w)^2, which is
+    wp_excited_closed_form at excited_quarter_period written with no time.
     A point is passive exactly when its score is <= 0. That sign is exact,
     with no threshold, and the same at every probe time in the window, so
     the scan fixes one:
 
-    - For J != 0 and 0 < Omega t <= pi, the bracket of wp_closed_form,
-      (J/Omega)^2 sin^2(Omega t) - sin^2(J t) = J^2 t^2 [sinc^2(Omega t) -
-      sinc^2(J t)], is < 0: sinc is positive and strictly decreasing on
-      (0, pi), and |J| < Omega. The probe window t < 1/Omega lies inside.
+    - For J != 0 and 0 < w tau <= pi, the bracket of wp_closed_form,
+      (g/w)^2 sin^2(w tau) - sin^2(g tau) = g^2 tau^2 [sinc^2(w tau) -
+      sinc^2(g tau)], is < 0: sinc is positive and strictly decreasing on
+      (0, pi), and |g| < w. The probe window tau < 1/w lies inside.
     - The factor (-1 + s^2 cos^2 theta) is < 0 everywhere except at the two
       poles s=1, theta in {0, pi}, where it is 0; so w_p > 0 off the poles.
-    - The excited pole drains 2h(J/Omega)^2 > 0.
+    - The excited pole drains 2h (g/w)^2 > 0.
 
     So for J != 0 only the ground state (s=1, theta=pi) is passive. At J = 0
     every w_p is exactly 0 and every point is passive. Where J != 0 and
     rounding leaves a point off the poles at or below 0 (the bracket cancels
-    from |J| of about 3e7 h on; products underflow below |J| of about
-    1e-157 h), the probe cannot resolve the sign and DomainError is raised,
+    from |g| of about 3e7 on; products underflow below |g| of about
+    1e-157), the probe cannot resolve the sign and DomainError is raised,
     naming the J/h that decides it.
 
-    Where h is so near the ends of the float range that the probe time
-    rounds to 0 or overflows, DomainError is raised too. Memory grows as a
-    few grid_n^2 floats.
+    The scan runs in (g, w, tau), so only the probe time t = tau/h itself
+    depends on the scale: where h is so near the ends of the float range
+    that it overflows (h below about 5.6e-310) or rounds to 0, DomainError
+    is raised too. Memory grows as a few grid_n^2 floats.
     """
     if grid_n < 2:
         raise ConfigError(f"grid_n must be at least 2, got {grid_n}")
     if grid_n > math.isqrt(MAX_GRID_POINTS):
         raise ConfigError(f"grid_n {grid_n} is too large: numpy cannot describe a "
                           f"grid_n x grid_n float64 scan")
-    # perfbench and the pinned `mps` digest read the scan at 0.1/h; past J = sqrt(21) h
-    # the probe shortens to 0.5/Omega. Omega >= 2h, |J|, so Omega t < 1 bounds every phase
-    t_probe = min(0.1 / spec.h, 0.5 / spec.omega)
+    # perfbench and the pinned `mps` digest read the scan at tau = 0.1; past g = sqrt(21)
+    # the probe shortens to 0.5/w. w >= 2, |g|, so w tau < 1 bounds every phase
+    t_probe = min(0.1, 0.5 / spec.w) / spec.h
     if not 0.0 < t_probe < math.inf:
         raise DomainError(f"the probe time {t_probe} is not positive and finite at h={spec.h}, "
                           f"J={spec.J}: h is too near the limits of float64")
@@ -186,9 +194,10 @@ def mps_scan(grid_n: int, spec: HamiltonianSpec) -> MpsScanReport:
     # both poles score exactly 0; by the proof above any further point at or below 0 is rounding
     if spec.J != 0.0 and np.count_nonzero(max_wp <= 0.0) > 2:
         raise DomainError(f"rounding hides the sign of w_p at the probe for "
-                          f"J/h={spec.J / spec.h}: the scan cannot tell passive points")
-    # the probe scores exactly 0 at the excited corner; the drain is its maximum
-    max_wp[-1, 0] = wp_excited_closed_form(spec, excited_quarter_period(spec))
+                          f"J/h={spec.g}: the scan cannot tell passive points")
+    # the probe scores exactly 0 at the excited corner; the drain peaks there at
+    # 2h (g/w)^2, formed without excited_quarter_period, which overflows for tiny h
+    max_wp[-1, 0] = spec.h * (2.0 * (spec.g / spec.w) ** 2)
     return MpsScanReport(s_grid, theta_grid, max_wp, max_wp <= 0.0, t_probe)
 
 

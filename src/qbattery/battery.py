@@ -27,7 +27,13 @@ from .qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Energy scale h and battery-auxiliary coupling J (J defaults to 2h)."""
+    """Energy scale h and battery-auxiliary coupling J (J defaults to 2h).
+
+    The scale lives here alone: every other module reads the model as h, the
+    ratio g = J/h and W/h = w, and forms its phases w tau and g tau from
+    tau = h t, so the model at (h, J) and time t is h times the model at
+    (1, g) and time tau, whatever the scale of h.
+    """
 
     h: float = 1.0
     J: float | None = None
@@ -37,17 +43,22 @@ class HamiltonianSpec:
             raise DomainError(f"field strength h must be positive and finite, got {self.h}")
         if self.J is None:
             object.__setattr__(self, "J", 2.0 * self.h)
-        if not math.isfinite(self.J):
-            raise DomainError(f"coupling J must be finite, got {self.J}")
+        # J/h is not finite where J is not, and where the ratio overflows
+        if not math.isfinite(self.J / self.h):
+            raise DomainError(f"J/h = {self.J / self.h} is not finite for h={self.h}, J={self.J}")
 
     @property
-    def omega(self) -> float:
-        """Rabi frequency sqrt(4h^2 + J^2) of the {|00>, |11>} parity block,
-        formed as hypot(2h, J): non-zero, and finite wherever 2h is, that is
-        for h below about 8.99e307; from there on 2h overflows and it is inf.
-        The CLI's model (1, J/h) forms W/h = hypot(2, J/h), which is finite
-        for every finite J/h."""
-        return math.hypot(2.0 * self.h, self.J)
+    def g(self) -> float:
+        """The coupling in units of h, J/h: finite, since construction refuses
+        a spec where it is not."""
+        return self.J / self.h
+
+    @property
+    def w(self) -> float:
+        """Rabi frequency sqrt(4h^2 + J^2) of the {|00>, |11>} parity block in
+        units of h, W/h = hypot(2, g): at least 2 and finite for every spec,
+        and never formed from h or J, so no scale of h over- or underflows it."""
+        return math.hypot(2.0, self.g)
 
 
 @dataclass(frozen=True)

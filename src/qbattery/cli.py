@@ -68,11 +68,8 @@ class RunConfig:
 
     def spec(self) -> HamiltonianSpec:
         """The model in units of h, (1, J/h); J/h is 2 when J is not given,
-        so 2h is never formed."""
-        g = 2.0 if self.J is None else self.J / self.h
-        if not math.isfinite(g):
-            raise DomainError(f"J/h = {g} is not finite for h={self.h}, J={self.J}")
-        return HamiltonianSpec(1.0, g)
+        so 2h is never formed. HamiltonianSpec refuses a J/h that is not finite."""
+        return HamiltonianSpec(1.0, 2.0 if self.J is None else HamiltonianSpec(self.h, self.J).g)
 
     def k_grid(self) -> np.ndarray:
         return np.linspace(self.k_min, self.k_max, self.k_points)

@@ -118,14 +118,14 @@ def derive_seed(seed: int, index: int) -> int:
 
 def check_phase(t_max: float, spec: HamiltonianSpec) -> None:
     """Raise DomainError, naming J/h and t_max in units of 1/h, unless the
-    search phase Omega*t_max resolves: one ulp of it must stay below
-    MAX_PHASE_ULP, that is Omega*t_max < 2^33 rad, at every scale of h.
+    search phase Omega*t_max = w (h t_max) resolves: one ulp of it must stay
+    below MAX_PHASE_ULP, that is Omega*t_max < 2^33 rad, at every scale of h.
     Beyond that a one-ulp step in t scrambles the phase, and a search would
     sample noise."""
-    phase = spec.omega * t_max
+    phase = spec.w * (spec.h * t_max)
     if not math.ulp(phase) <= MAX_PHASE_ULP:
         raise DomainError(f"the phase Omega*t_max = {phase:.3g} rad moves by more than "
-                          f"{MAX_PHASE_ULP:g} rad per ulp of t at J/h={spec.J / spec.h:g}, "
+                          f"{MAX_PHASE_ULP:g} rad per ulp of t at J/h={spec.g:g}, "
                           f"t_max={spec.h * t_max:g}/h: shorten t_max or reduce J/h")
 
 
@@ -155,11 +155,10 @@ class WpEvaluator:
     lambda_max(A), with A as in the module docstring.
 
     The kernel is real arithmetic in units of h. With tau = h t, g = J/h and
-    W = Omega/h, it reads the phases W tau = Omega t and g tau = J t as
-    protocol.joint_unitary forms them, the amplitudes g/W = J/Omega and
-    2/W = 2h/Omega (at most 1 at any scale of h and J) and the energies
-    c/h = (k - 1, k + 1), and it multiplies the result by h once at the
-    end. Sines and cosines come from
+    W = HamiltonianSpec.w, it reads the phases W tau and g tau and the
+    amplitudes g/W and 2/W (at most 1) as protocol.joint_unitary forms them,
+    and the energies c/h = (k - 1, k + 1), and it multiplies the result by h
+    once at the end. Sines and cosines come from
     half-angle tangents (_half_tan), and each family forms only those it
     reads: sin(W tau), sin(g tau) and cos(theta) for the separable family,
     both of W tau, g tau and phi and cos(theta) for the entangled one. With
@@ -205,7 +204,7 @@ class WpEvaluator:
         self.space = space
         self.spec = spec
         self._kappa = math.sqrt((1.0 - space.k) * (1.0 + space.k))
-        self._flip, self._tilt = spec.J / spec.omega, 2.0 * spec.h / spec.omega  # g/W, 2/W
+        self._flip, self._tilt = spec.g / spec.w, 2.0 / spec.w  # g/W, 2/W
         # one 64 KiB array a row: blocks this small come from the C heap and are
         # reused from one evaluator to the next, where one 512 KiB block would
         # be mapped afresh, and page-faulted, for each evaluator
@@ -223,18 +222,20 @@ class WpEvaluator:
     def _values(self, p, out):
         theta, phi, t = p.T
         work = [row[: len(p)] for row in self._work]
+        # tau = h t goes into the output row: neither kernel writes it before both phases are read
+        tau = np.multiply(t, self.spec.h, out=out)
         if self.space.family == SEPARABLE:
-            self._separable(theta, t, work, out)
+            self._separable(theta, tau, work, out)
         else:
-            self._entangled(theta, phi, t, work, out)
+            self._entangled(theta, phi, tau, work, out)
         out *= self.spec.h
 
-    def _separable(self, theta, t, work, out):
+    def _separable(self, theta, tau, work, out):
         k = self.space.k
         q, r, c, nr, s2 = work[:5]
-        _half_tan(np.multiply(t, self.spec.omega, out=q), q, nr)
+        _half_tan(np.multiply(tau, self.spec.w, out=q), q, nr)
         q *= nr  # sin(W tau)
-        _half_tan(np.multiply(t, self.spec.J, out=r), r, nr)
+        _half_tan(np.multiply(tau, self.spec.g, out=r), r, nr)
         r *= nr  # sin(g tau)
         _half_tan(theta, nr, c)
         c -= 1.0  # c = cos(theta)
@@ -261,13 +262,13 @@ class WpEvaluator:
         root *= 0.5 * abs(k)  # |k| sqrt(root)/2
         out += root  # w/h = (mq - nr)/2 + |k| sqrt(root)/2
 
-    def _entangled(self, theta, phi, t, work, out):
+    def _entangled(self, theta, phi, tau, work, out):
         k, kappa = self.space.k, self._kappa
         up, sin_p, cos_p, sin_w, cos_w, sin_j, cos_j, down = work[:8]
-        _half_tan(np.multiply(t, self.spec.omega, out=sin_w), sin_w, cos_w)
+        _half_tan(np.multiply(tau, self.spec.w, out=sin_w), sin_w, cos_w)
         sin_w *= cos_w  # sin(W tau)
         cos_w -= 1.0  # cos(W tau)
-        _half_tan(np.multiply(t, self.spec.J, out=sin_j), sin_j, cos_j)
+        _half_tan(np.multiply(tau, self.spec.g, out=sin_j), sin_j, cos_j)
         sin_j *= cos_j  # sin(g tau)
         cos_j -= 1.0  # cos(g tau)
         _half_tan(phi, sin_p, cos_p)

@@ -202,18 +202,20 @@ def joint_unitary(spec: HamiltonianSpec, t) -> np.ndarray:
     for an array of times, assembled in closed form on the two Z x Z parity blocks.
 
     H is [[2h, J], [J, -2h]] on {|00>, |11>}, so U = cos(W t) - i sin(W t)
-    (2h sigma_z + J sigma_x) / W = [[d, o], [o, conj(d)]] there, with W = hypot(2h, J)
-    (finite and non-zero at any scale of h and J). H is J sigma_x on {|01>, |10>},
-    so U = cos(J t) - i sin(J t) sigma_x = [[c, s], [s, c]] there.
+    (2h sigma_z + J sigma_x) / W = [[d, o], [o, conj(d)]] there, with W = w h
+    (HamiltonianSpec.w). H is J sigma_x on {|01>, |10>}, so U = cos(J t) -
+    i sin(J t) sigma_x = [[c, s], [s, c]] there. With tau = h t and g = J/h the
+    phases are W t = w tau and J t = g tau, and the amplitudes 2h/W = 2/w and
+    J/W = g/w lie in [-1, 1] at every scale of h.
     """
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
         raise DomainError("evolution time must be non-negative")
-    omega = spec.omega
-    wt, jt = omega * t, spec.J * t
+    g, w, tau = spec.g, spec.w, spec.h * t
+    wt, jt = w * tau, g * tau
     sin_wt = np.sin(wt)
-    d = np.cos(wt) - 1j * ((2.0 * spec.h / omega) * sin_wt)
-    o = -1j * ((spec.J / omega) * sin_wt)
+    d = np.cos(wt) - 1j * ((2.0 / w) * sin_wt)
+    o = -1j * ((g / w) * sin_wt)
     c, s = np.cos(jt), -1j * np.sin(jt)
     u = np.zeros(t.shape + (4, 4), dtype=complex)
     u[..., 0, 0], u[..., 0, 3], u[..., 3, 0], u[..., 3, 3] = d, o, o, np.conj(d)

@@ -192,11 +192,11 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
     """Fits w_p = c t^4 + d t^6 by least squares and compares c with the
     t^4 coefficient at g = J/h, -(2/3) g^2 (-1 + s^2 cos^2 theta).
 
-    The times sit at fixed phases x = Omega t = 0.05, 0.1, 0.2, 0.4, so the
-    fit sees the same shape at every g: the t^6 term absorbs the next
-    order, and the t^8 term left out moves c by about 1e-4 of itself at
-    g = 2. The fit runs in x, whose powers are of order 1, and c = a Omega^4
-    from the x^4 coefficient a. The smallest w_p is about
+    The times sit at fixed phases x = w tau = 0.05, 0.1, 0.2, 0.4 (tau = t,
+    as h = 1 here), so the fit sees the same shape at every g: the t^6 term
+    absorbs the next order, and the t^8 term left out moves c by about 1e-4
+    of itself at g = 2. The fit runs in x, whose powers are of order 1, and
+    c = a w^4 from the x^4 coefficient a. The smallest w_p is about
     4e-6 g^2 / (4 + g^2)^2, which sinks into the oracle's rounding (about
     1e-16) below |g| of about 3e-4 and beyond about 1e4: there the suite
     fails, and run_suites refuses such a g (COUPLING_BAND)."""
@@ -204,9 +204,9 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
     phases = np.array([0.05, 0.1, 0.2, 0.4])
     s, theta = rng.random(n), math.pi * rng.random(n)
     rho0 = analytic.separable_initial_bloch(s, theta)[:, None]
-    wps = run_protocol(rho0, spec, phases / spec.omega, Z_BASIS, 1).w_p
+    wps = run_protocol(rho0, spec, phases / spec.w, Z_BASIS, 1).w_p
     powers = np.stack([phases**4, phases**6], axis=-1)
-    fit = np.linalg.lstsq(powers, wps.T, rcond=None)[0][0] * spec.omega**4
+    fit = np.linalg.lstsq(powers, wps.T, rcond=None)[0][0] * spec.w**4
     coeff = analytic.wp_small_t(s, theta, spec)
     # relative error, or the absolute one where the coefficient vanishes
     residual = np.abs(fit - coeff) / np.where(coeff == 0.0, 1.0, np.abs(coeff))
@@ -215,13 +215,12 @@ def suite_small_t_quartic(spec: HamiltonianSpec, rng) -> SuiteResult:
 
 
 def suite_excited_drain(spec: HamiltonianSpec) -> SuiteResult:
-    omega = spec.omega
-    t = np.linspace(0.0, 2.0 * math.pi / omega, 50)
+    t = np.linspace(0.0, 2.0 * math.pi / spec.w, 50)  # two periods of w tau, tau = t at h = 1
     oracle = analytic.wp_excited_oracle(spec, t)
     peak = analytic.wp_excited_oracle(spec, analytic.excited_quarter_period(spec))
     worst = _worst(
         np.abs(oracle - analytic.wp_excited_closed_form(spec, t)),
-        abs(peak - 2.0 * (spec.J / omega) ** 2),
+        abs(peak - 2.0 * (spec.g / spec.w) ** 2),
     )
     variant_gap = np.max(np.abs(oracle - analytic.wp_excited_sine_variant(spec, t)))
     note = (
@@ -301,12 +300,11 @@ def run_suites(spec: HamiltonianSpec, seed: int) -> list[SuiteResult]:
     depend only on (J/h, seed). Raise DomainError, naming J/h, unless J/h is
     0 or |J/h| lies in COUPLING_BAND, where every suite resolves what it
     checks."""
-    g = spec.J / spec.h
     low, high = COUPLING_BAND
-    if g != 0.0 and not low <= abs(g) <= high:
+    if spec.g != 0.0 and not low <= abs(spec.g) <= high:
         raise DomainError(f"the self-check suites resolve J/h = 0 or {low:g} <= |J/h| <= {high:g}, "
-                          f"not J/h={g}")
-    spec = HamiltonianSpec(1.0, g)
+                          f"not J/h={spec.g}")
+    spec = HamiltonianSpec(1.0, spec.g)
     streams = [make_rng(derive_seed(seed, i)) for i in range(6)]
     return [
         suite_operator_algebra(spec, streams[0]),

@@ -221,17 +221,31 @@ class TestMpsScan:
         "h, j, named",
         [(1.0, 1e8, "J/h=100000000.0:"), (1.0, -1e9, "J/h=-1000000000.0:"),
          (1.0, 3e-159, "J/h=3e-159:"), (3.0, 3e-160, "J/h=1e-160:"),
-         (1e-310, 0.0, "h=1e-310, J=0.0"), (1e-310, 2e-310, "h=1e-310, J=2e-310"),
-         (1e308, 0.0, "h=1e+308, J=0.0")],
+         (1e-310, 0.0, "h=1e-310, J=0.0"), (1e-310, 2e-310, "h=1e-310, J=2e-310")],
     )
     def test_unresolved_sign_raises(self, h, j, named):
         # the bracket cancels at large J/h and underflows at tiny J/h; at
         # J/h = 3e-159 only points near the poles underflow, not s = 0. That
-        # error names J/h, which decides it. At the limits of float64 the probe
-        # time overflows (0.1/h) or rounds to 0 (2h, and so Omega, overflows),
-        # even at J = 0, and that error names h and J
+        # error names J/h, which decides it. Below h of about 5.6e-310 the probe
+        # time 0.1/h overflows, even at J = 0, and that error names h and J
         with pytest.raises(DomainError, match=re.escape(named)):
             mps_scan(101, HamiltonianSpec(h, j))
+
+    @pytest.mark.parametrize("j, passive", [(0.0, 101 * 101), (1.5e308, 1)])
+    def test_scan_runs_where_two_h_overflows(self, j, passive):
+        # the scan forms no energy beyond h: at h = 1e308 the probe time 0.1/h is
+        # subnormal but non-zero, and w tau is at most 0.25 rad
+        report = mps_scan(101, HamiltonianSpec(1e308, j))
+        assert np.count_nonzero(report.passive) == passive
+        assert report.passive[-1, -1] and np.all(np.isfinite(report.max_wp))
+
+    @pytest.mark.parametrize("h", [1e-309, 3e-309])
+    def test_excited_corner_is_finite_where_the_quarter_period_overflows(self, h):
+        # (pi/2)/(w h) overflows below h of about 3.1e-309 at J = 2h; the drain's
+        # maximum 2h (g/w)^2 forms no time
+        report = mps_scan(11, HamiltonianSpec(h, 2.0 * h))
+        assert np.isfinite(report.max_wp[-1, 0]) and report.max_wp[-1, 0] > 0.0
+        assert report.passive_points() == [(1.0, math.pi)]
 
     def test_excited_drain_survives_where_two_omega_overflows(self):
         # 2 Omega overflows to inf here; the drain must still be timed at pi/(2 Omega)
@@ -259,7 +273,7 @@ class TestMpsScan:
         # 0.1/h would leave the window t < 1/Omega from |J| = 9.8h on
         spec = HamiltonianSpec(h, j)
         report = mps_scan(21, spec)
-        assert report.t_probe == 0.5 / spec.omega
+        assert report.t_probe == min(0.1, 0.5 / spec.w) / h
         assert report.passive_points() == [(1.0, math.pi)]
 
     def test_rejects_grids_numpy_cannot_describe(self, monkeypatch):

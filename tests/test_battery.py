@@ -36,16 +36,18 @@ class TestHamiltonianSpec:
         with pytest.raises(DomainError):
             HamiltonianSpec(h=h)
 
-    def test_rejects_non_finite_coupling(self):
-        with pytest.raises(DomainError):
-            HamiltonianSpec(J=np.inf)
+    @pytest.mark.parametrize("h, j", [(1.0, np.inf), (1e-300, 1e308)])
+    def test_rejects_non_finite_coupling(self, h, j):
+        # J/h overflows at (1e-300, 1e308), though J and h are finite
+        with pytest.raises(DomainError, match="J/h = inf is not finite"):
+            HamiltonianSpec(h, j)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
-    def test_omega_is_finite_and_non_zero_at_any_scale(self, scale):
-        # sqrt(4h^2 + J^2) squares would over- or underflow at 1e+-200
-        omega = HamiltonianSpec(scale, 2.0 * scale).omega
-        assert np.isfinite(omega) and omega > 0.0
-        assert omega == pytest.approx(np.sqrt(8.0) * scale, rel=1e-15)
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 1e308])
+    def test_g_and_w_do_not_depend_on_the_scale(self, scale):
+        # sqrt(4h^2 + J^2) would over- or underflow at 1e+-200, and 2h overflows at 1e308
+        spec = HamiltonianSpec(scale, -1.5 * scale)
+        assert spec.g == pytest.approx(-1.5, rel=1e-15)
+        assert spec.w == pytest.approx(2.5, rel=1e-15)
 
 
 class TestBatteryState:

@@ -463,7 +463,7 @@ class TestVerify:
     )
     def test_runs_only_where_the_band_and_the_float_range_allow(self, capsys, flags, refusal):
         # J/h must be finite, and 0 or in the band. h itself may lie anywhere in the float
-        # range, down to subnormals and up to where 2h and Omega overflow: the suites run on
+        # range, down to subnormals and up to where 2h overflows: the suites run on
         # (1, J/h), so such an h prints what (1, J/h) prints
         code = main(["verify", *flags])
         out, err = capsys.readouterr()

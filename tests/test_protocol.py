@@ -366,7 +366,7 @@ class TestStackedOracle:
     def test_impossible_elements_follow_the_per_element_rule(self):
         # |00> never triggers the ground-outcome projector at t = 0 or at a full period
         rho0 = separable_initial(1.0, BlochVector(1.0, 0.0, 0.0))
-        period = np.pi / np.hypot(2.0 * SPEC.h, SPEC.J)
+        period = np.pi / np.sqrt(4.0 * SPEC.h**2 + SPEC.J**2)
         times = np.array([0.0, 0.3, period, 1.1])
         result = run_protocol(rho0, SPEC, times, Z_BASIS, 1)
         impossible = result.probability < 1e-12

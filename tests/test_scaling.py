@@ -7,7 +7,7 @@ import pytest
 
 from qbattery.analytic import mps_scan
 from qbattery.battery import BlochVector, HamiltonianSpec
-from qbattery.optimizer import SearchSpace, WpEvaluator
+from qbattery.optimizer import SearchSpace, WpEvaluator, optimize
 from qbattery.protocol import (
     EntangledInitParams,
     MeasurementBasis,
@@ -17,7 +17,7 @@ from qbattery.protocol import (
 )
 
 BASE = HamiltonianSpec(h=0.8, J=1.7)
-SCALES = (0.5, 2.0, 3.0, 1e-200, 1e200)
+SCALES = (0.5, 2.0, 3.0, 1e-200, 1e200, 1e308, 2.0**1000, 2.0**-1000)
 
 
 def scaled(spec, lam):
@@ -60,9 +60,37 @@ def test_evaluator_scales(family, lam):
 
 @pytest.mark.parametrize("lam", SCALES)
 def test_mps_scan_scales(lam):
-    # the probe time is 0.1/h, so it scales with the spec
+    # the probe time is min(0.1, 0.5/w)/h, and w = W/h does not depend on lambda
     base = mps_scan(11, BASE)
     big = mps_scan(11, scaled(BASE, lam))
     assert big.t_probe == pytest.approx(base.t_probe / lam, rel=1e-15)
     assert np.max(np.abs(big.max_wp - lam * base.max_wp)) <= 1e-12 * lam * BASE.h
     assert np.array_equal(big.passive, base.passive)
+
+
+@pytest.mark.parametrize("family", ["separable", "entangled"])
+@pytest.mark.parametrize("g", [2.0, 1.5, -0.7, 100.0])
+@pytest.mark.parametrize("lam", [2.0**1000, 2.0**-1000])
+def test_optimize_scales(family, g, lam):
+    # scaling by a power of two is exact, so the search draws the same points in
+    # units of 1/h and the report is the (1, g) report, bit for bit
+    base = optimize(SearchSpace(family, k=0.3), HamiltonianSpec(1.0, g), 2000, 1)
+    space = SearchSpace(family, k=0.3, t_max=10.0 / lam)
+    big = optimize(space, HamiltonianSpec(lam, lam * g), 2000, 1)
+    assert big.best_value / lam == base.best_value
+    assert np.array_equal(big.best_params * [1.0, 1.0, lam], base.best_params)
+    assert (big.samples_used, big.converged) == (base.samples_used, base.converged)
+    if lam > 1.0:
+        # at 2^-1000 the products of outcome_matrix are subnormal, and they move the
+        # azimuth of a near-polar basis
+        assert big.best_basis == base.best_basis
+
+
+def test_optimize_runs_where_two_h_overflows():
+    # 2h and sqrt(4h^2 + J^2) overflow at h = 1e308; the phases w tau and g tau do not
+    base = optimize(SearchSpace("separable", 0.3), HamiltonianSpec(1.0, 1.5), 2000, 1)
+    space = SearchSpace("separable", 0.3, t_max=1e-307)
+    big = optimize(space, HamiltonianSpec(1e308, 1.5e308), 2000, 1)
+    assert big.best_value / 1e308 == pytest.approx(base.best_value, rel=1e-12)
+    np.testing.assert_allclose(big.best_params * [1.0, 1.0, 1e308], base.best_params, rtol=1e-12)
+    assert (big.samples_used, big.converged) == (base.samples_used, base.converged)
