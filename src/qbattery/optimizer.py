@@ -7,11 +7,12 @@ ket chi of every auxiliary basis scores w_p = <chi|A|chi>, with
 
 so the best basis and outcome give the top eigenvalue of the 2x2 matrix A,
 and the winning basis is its top eigenvector. WpEvaluator evaluates that
-eigenvalue in closed form; its ``best_basis`` reads A from the oracle state
-through protocol.outcome_matrix. For a product initial state A
-is affine in the auxiliary Bloch vector, so lambda_max(A) is convex in it
-and peaks on the Bloch sphere: the auxiliary is pure (r = 1). Both families
-therefore search (polar, azimuth, t) in [0, pi] x [0, 2 pi) x [0, t_max].
+eigenvalue in closed form; its ``best_basis`` reads A/h through
+protocol.outcome_matrix on the model in units of h, (1, J/h), at tau = h t.
+For a product initial state A is affine in the auxiliary Bloch vector, so
+lambda_max(A) is convex in it and peaks on the Bloch sphere: the auxiliary
+is pure (r = 1). Both families therefore search (polar, azimuth, t) in
+[0, pi] x [0, 2 pi) x [0, t_max].
 
 Two-phase search: exploration draws uniformly from that box (80% of the
 evaluation budget), then a lattice zoom refines the leaders in lockstep: up
@@ -194,13 +195,16 @@ class WpEvaluator:
 
     Equals protocol.best_outcome at the basis ``best_basis`` returns, and is
     at least its value at any other. The evaluator refuses, by check_phase, a
-    box whose phases do not resolve; inside an accepted box every phase is
-    finite, and so is every value, since both radicands are sums of
-    non-negative terms.
+    box whose phases do not resolve, and a spec and bias where h(1 + k), the
+    most any protocol extracts, overflows. So inside an accepted box every
+    phase is finite, and so is every value: both radicands are sums of
+    non-negative terms, and the last step multiplies w/h <= 1 + k by h.
     """
 
     def __init__(self, space: SearchSpace, spec: HamiltonianSpec):
         check_phase(space.t_max, spec)
+        if not math.isfinite(spec.h * (1.0 + space.k)):
+            raise DomainError(f"w_p reaches h(1+k), which overflows at h={spec.h:g}, k={space.k:g}")
         self.space = space
         self.spec = spec
         self._kappa = math.sqrt((1.0 - space.k) * (1.0 + space.k))
@@ -319,15 +323,16 @@ class WpEvaluator:
 
     def best_basis(self, params) -> MeasurementBasis:
         """Basis whose outcome 0 is the top eigenvector of A at one parameter
-        vector, with A read from the oracle state U rho0 U^dag by
-        protocol.outcome_matrix; theta = phi = 0 when A is a multiple of the
-        identity."""
+        vector; theta = phi = 0 when A is a multiple of the identity. A/h is
+        read by protocol.outcome_matrix from the oracle state on the model in
+        units of h, (1, J/h), at tau = h t: A scales by h, its eigenvectors do
+        not, and no product of A/h under- or overflows at any scale of h."""
         theta, phi, t = params
         if self.space.family == SEPARABLE:
             rho0 = separable_initial(self.space.k, BlochVector(1.0, theta, phi))
         else:
             rho0 = entangled_initial(EntangledInitParams(self.space.k, theta, phi))
-        a = outcome_matrix(rho0, self.spec, t)
+        a = outcome_matrix(rho0, HamiltonianSpec(1.0, self.spec.g), self.spec.h * t)
         half_gap, re, im = (a[0, 0].real - a[1, 1].real) / 2.0, a[0, 1].real, a[0, 1].imag
         if re == im == half_gap == 0.0:  # every basis ties
             return MeasurementBasis(0.0, 0.0)
@@ -351,7 +356,7 @@ def optimize(
     ``converged`` reports whether the best exploration value beats the best
     of the samples before the trailing ceil(budget/5) by less than 1e-2 * h
     (refinement steps are not judged).
-    Raises DomainError where check_phase refuses the box.
+    Raises DomainError where WpEvaluator refuses the box or the spec.
     """
     if budget < 1:
         raise ConfigError(f"budget must be at least 1, got {budget}")

@@ -164,30 +164,12 @@ class TestPassiveState:
         sigma = passive_state(I2 / 2.0)
         assert np.allclose(sigma, I2 / 2.0, atol=1e-12)
 
-    @given(radii, angles, st.floats(0.0, 2.0 * np.pi, exclude_max=True, allow_nan=False))
-    @settings(max_examples=60)
-    def test_idempotent_and_commuting(self, r, theta, phi):
-        h_b = hamiltonian_battery(SPEC)
-        sigma = passive_state(bloch_state(BlochVector(r, theta, phi)))
-        assert np.linalg.norm(passive_state(sigma) - sigma) < 1e-10
-        assert np.linalg.norm(sigma @ h_b - h_b @ sigma) < 1e-10
-
 
 class TestErgotropy:
-    @pytest.mark.parametrize("k", np.linspace(-1.0, 1.0, 21))
-    def test_piecewise_linear_law(self, k):
-        expected = 2.0 * SPEC.h * k if k >= 0 else 0.0
-        assert abs(ergotropy(battery_state(k), SPEC) - expected) < 1e-12
-
     def test_equatorial_pure_state(self):
         # energy 0, passive energy -h, so one full unit of h comes out
         rho = bloch_state(BlochVector(1.0, np.pi / 2.0, 0.0))
         assert ergotropy(rho, SPEC) == pytest.approx(1.0, abs=1e-12)
-
-    def test_passive_state_yields_nothing(self):
-        for k in (-0.8, 0.2, 0.9):
-            sigma = passive_state(battery_state(k))
-            assert ergotropy(sigma, SPEC) == pytest.approx(0.0, abs=1e-10)
 
     def test_nonnegative_on_haar_ensemble(self):
         # pure states Haar on the sphere plus mixed states uniform in the ball

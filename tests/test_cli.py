@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -163,42 +164,24 @@ class TestOptionsPerSubcommand:
         }
 
     @pytest.mark.parametrize(
-        "command, flag",
-        [("verify", f) for f in ["--k-min", "--k-max", "--k-points", "--budget", "--t-max",
-                                 "--threads", "--out", "--plot-script"]]
-        + [("mps", f) for f in ["--k-min", "--k-max", "--k-points", "--budget", "--seed",
-                                "--t-max", "--threads", "--t-probe"]],
+        "command, flag, in_file",
+        [(["verify"], f, False) for f in ["--k-min", "--k-max", "--k-points", "--budget",
+                                          "--t-max", "--threads", "--out", "--plot-script"]]
+        + [(["mps"], f, False) for f in ["--k-min", "--k-max", "--k-points", "--budget",
+                                         "--seed", "--t-max", "--threads", "--t-probe"]]
+        + [(["mps"], "--budget", True), (["verify"], "--out", True)]
+        + [(["sweep", "unitary", "--k-points", "3"], f, in_file)
+           for f in ["--budget", "--t-max", "--threads"] for in_file in (False, True)],
     )
-    def test_unread_flag_exits_2(self, capsys, command, flag):
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, flag, "1"])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert flag in err and "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "command, option", [("mps", "--budget=5"), ("verify", "--out=x.csv")]
-    )
-    def test_unread_option_in_file_exits_2(self, tmp_path, capsys, command, option):
-        assert exit_code([command, write_args(tmp_path, option.encode())]) == 2
-        err = capsys.readouterr().err
-        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("flag", ["--budget", "--t-max", "--threads"])
-    def test_unitary_sweep_rejects_search_flags(self, tmp_path, capsys, flag):
+    def test_unread_option_exits_2(self, tmp_path, capsys, command, flag, in_file):
+        # inline the flag and its value are two arguments, in an @file one line flag=value
         out = tmp_path / "u.csv"
-        assert exit_code(["sweep", "unitary", "--k-points", "3", flag, "7", "--out", str(out)]) == 2
+        given = f"{flag}=7" if in_file else f"{flag} 7"
+        args = [write_args(tmp_path, given.encode())] if in_file else [flag, "7"]
+        csv = ["--out", str(out)] if command[0] == "sweep" else []
+        assert exit_code([*command, *args, *csv]) == 2
         err = capsys.readouterr().err
-        assert f"unrecognized arguments: {flag} 7" in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("option", ["--budget=7", "--t-max=7", "--threads=7"])
-    def test_unitary_sweep_rejects_search_options_in_file(self, tmp_path, capsys, option):
-        out = tmp_path / "u.csv"
-        run = write_args(tmp_path, option.encode())
-        assert exit_code(["sweep", "unitary", run, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"unrecognized arguments: {option}" in err and "Traceback" not in err
+        assert f"unrecognized arguments: {given}" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -228,32 +211,24 @@ class TestSweep:
             value = float(row[1])
             assert np.isfinite(value) and -2.0 <= value <= 2.0
 
-    @pytest.mark.parametrize("command", [["sweep", "separable"], ["sweep", "entangled"],
-                                         ["inset", "fig2"], ["inset", "fig3"]])
-    @pytest.mark.parametrize("j", ["1e308", "1e10"])
-    def test_unresolved_phases_exit_2_naming_the_scales(self, tmp_path, capsys, command, j):
-        # at J = 1e308 the phases J t leave the float range for t > 1.8; at J = 1e10
-        # they stay finite, but one ulp of t moves Omega t_max by about 1.5e-5 rad
-        out = tmp_path / "s.csv"
-        assert main([*command, "--J", j, "--k-points", "2", "--budget", "3000",
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the phase Omega*t_max") and "Traceback" not in err
-        assert f"at J/h={float(j):g}, t_max=10/h: " in err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--h", "1e-5", "--J", "1e5"], "at J/h=1e+10, t_max=10/h: "),
-         (["--h", "4", "--t-max", "1e12"], "at J/h=2, t_max=1e+12/h: ")],
+        [([*command, "--J", j, "--budget", "3000"], f"at J/h={float(j):g}, t_max=10/h: ")
+         for j in ["1e308", "1e10"]
+         for command in [["sweep", "separable"], ["sweep", "entangled"], ["inset", "fig2"],
+                         ["inset", "fig3"]]]
+        + [(["sweep", "separable", "--h", "1e-5", "--J", "1e5"], "at J/h=1e+10, t_max=10/h: "),
+           (["sweep", "separable", "--h", "4", "--t-max", "1e12"], "at J/h=2, t_max=1e+12/h: ")],
     )
-    def test_phase_error_names_j_over_h_and_t_max(self, tmp_path, capsys, flags, named):
-        # the search runs on (1, J/h), and the error names J/h and t_max in units of 1/h
+    def test_unresolved_phases_exit_2_naming_the_scales(self, tmp_path, capsys, flags, named):
+        # at J = 1e308 the phases J t leave the float range for t > 1.8; at J/h = 1e10
+        # they stay finite, but one ulp of t moves Omega t_max by about 1.5e-5 rad. The
+        # search runs on (1, J/h), and the error names J/h and t_max in units of 1/h
         out = tmp_path / "s.csv"
-        assert main(["sweep", "separable", *flags, "--k-points", "2", "--out", str(out)]) == 2
+        assert main([*flags, "--k-points", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the phase Omega*t_max") and named in err
-        assert not out.exists()
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("h", [2.0**-600, 1.0, 2.0**600])
     def test_cli_refuses_what_the_library_refuses(self, tmp_path, capsys, h):
@@ -346,21 +321,30 @@ class TestInset:
         assert entropies[2] == pytest.approx(1.0)
 
 
-# verify's suites in the order it runs them; every "N/N suites passed" below reads N here
-SUITES = [
-    "operator-algebra",
-    "passive-ergotropy",
-    "measurement-protocol",
-    "closed-form-vs-oracle",
-    "small-t-quartic",
-    "excited-drain",
-    "entanglement-entropy",
-    "zero-coupling-pointwise",
-    "zero-coupling-optimized",
-    "mps-scan",
-    "optimum-bound",
-]
+# verify's suites in the order it runs them, each with the tolerance it reports; every
+# "N/N suites passed" below reads N here. The tests leave the invariants a suite checks
+# (probabilities sum to 1, the closed form is the oracle, J = 0 extracts nothing, passive
+# states are idempotent) to that suite, so a suite whose tolerance loosens must fail a test
+SUITES = {
+    "operator-algebra": 1e-10,
+    "passive-ergotropy": 1e-10,
+    "measurement-protocol": 1e-10,
+    "closed-form-vs-oracle": 1e-9,
+    "small-t-quartic": 1e-2,
+    "excited-drain": 1e-9,
+    "entanglement-entropy": 1e-10,
+    "zero-coupling-pointwise": 1e-12,
+    "zero-coupling-optimized": 1e-2,
+    "mps-scan": 0.0,
+    "optimum-bound": 0.0,
+}
 ALL_PASSED = f"{len(SUITES)}/{len(SUITES)} suites passed\n"
+
+
+@functools.cache
+def suites_at_j_over_h_2(seed):
+    """verify's results at (1, 2) for one seed, by suite name, computed once a seed."""
+    return {r.name: r for r in run_suites(HamiltonianSpec(1.0, 2.0), seed)}
 
 
 class TestVerify:
@@ -378,8 +362,17 @@ class TestVerify:
         assert run_suites(HamiltonianSpec(h, j), 123456789) == run_suites(
             HamiltonianSpec(1.0, j / h), 123456789)
 
-    def test_optimum_bound_is_appended_after_the_other_suites(self):
-        assert [r.name for r in run_suites(HamiltonianSpec(1.0, 4.0), 5)] == SUITES
+    def test_suites_run_in_order_at_their_pinned_tolerances(self):
+        results = run_suites(HamiltonianSpec(1.0, 4.0), 5)
+        assert [(r.name, r.tolerance) for r in results] == list(SUITES.items())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", SUITES)
+    def test_suite_passes_at_other_seeds(self, name, seed):
+        # the suites alone draw the random samples of their invariants; more seeds, more
+        # draws. One case per suite and seed, so a failure names the invariant it breaks
+        result = suites_at_j_over_h_2(seed)[name]
+        assert result.passed, result
 
     @pytest.mark.parametrize("h, j", [(1.0, 2.0), (1.0, 0.0)])
     @pytest.mark.parametrize(

@@ -317,12 +317,6 @@ class TestOptimize:
         assert ent.best_value == pytest.approx(sep.best_value, abs=1e-2)
         assert sep.best_value == pytest.approx(2.0, abs=1e-2)
 
-    def test_decoupled_hamiltonian_yields_zero(self):
-        report = optimize(
-            SearchSpace("separable", 0.6), HamiltonianSpec(h=1.0, J=0.0), budget=3000, seed=4
-        )
-        assert abs(report.best_value) < 1e-2
-
     def test_rejects_empty_budget(self):
         with pytest.raises(ConfigError):
             optimize(SearchSpace("separable", 0.0), SPEC, budget=0, seed=1)

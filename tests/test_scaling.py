@@ -7,6 +7,7 @@ import pytest
 
 from qbattery.analytic import mps_scan
 from qbattery.battery import BlochVector, HamiltonianSpec
+from qbattery.errors import DomainError
 from qbattery.optimizer import SearchSpace, WpEvaluator, optimize
 from qbattery.protocol import (
     EntangledInitParams,
@@ -80,10 +81,18 @@ def test_optimize_scales(family, g, lam):
     assert big.best_value / lam == base.best_value
     assert np.array_equal(big.best_params * [1.0, 1.0, lam], base.best_params)
     assert (big.samples_used, big.converged) == (base.samples_used, base.converged)
-    if lam > 1.0:
-        # at 2^-1000 the products of outcome_matrix are subnormal, and they move the
-        # azimuth of a near-polar basis
-        assert big.best_basis == base.best_basis
+    assert big.best_basis == base.best_basis
+
+
+def test_best_basis_does_not_depend_on_the_scale():
+    # at (2^-1000, 2^-999) the products c_i rho_t of A are subnormal or 0, where A/h,
+    # read on (1, J/h), keeps this near-polar basis
+    lam = 2.0**-1000
+    base = WpEvaluator(SearchSpace("separable", 0.0), HamiltonianSpec(1.0, 2.0))
+    tiny = WpEvaluator(SearchSpace("separable", 0.0, t_max=10.0 / lam),
+                       HamiltonianSpec(lam, 2.0 * lam))
+    expected = base.best_basis([1e-9, 0.5, 0.5])  # (4.66e-10, 3 pi/2)
+    assert tiny.best_basis([1e-9, 0.5, 0.5 / lam]) == expected != MeasurementBasis(0.0, 0.0)
 
 
 def test_optimize_runs_where_two_h_overflows():
@@ -94,3 +103,10 @@ def test_optimize_runs_where_two_h_overflows():
     assert big.best_value / 1e308 == pytest.approx(base.best_value, rel=1e-12)
     np.testing.assert_allclose(big.best_params * [1.0, 1.0, 1e308], base.best_params, rtol=1e-12)
     assert (big.samples_used, big.converged) == (base.samples_used, base.converged)
+
+
+def test_refuses_where_h_times_one_plus_k_overflows():
+    # w_p reaches h(1 + k), which is 1.9e308 here
+    space = SearchSpace("separable", 0.9, t_max=1e-307)
+    with pytest.raises(DomainError, match=r"overflows at h=1e\+308, k=0\.9"):
+        optimize(space, HamiltonianSpec(1e308, 1.5e308), 2000, 1)
