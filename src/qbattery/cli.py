@@ -201,6 +201,14 @@ plt.show()
     print(f"wrote plot script to {plot_script}")
 
 
+def _argument_file_line(line: str) -> list[str]:
+    """One argument per @FILE line. A NUL byte, which no path can hold, is
+    refused here, before any work runs: open() would raise ValueError."""
+    if "\0" in line:
+        raise ConfigError(f"argument file line {line!r} holds a NUL byte")
+    return [line]
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """The RunConfig fields that the subcommand's parser defines and the
     user set, over the defaults."""
@@ -234,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         fromfile_prefix_chars="@",
         epilog="@FILE reads arguments from FILE, one per line. Write negative values as --J=-1e5.",
     )
+    parser.convert_arg_line_to_args = _argument_file_line
     sub = parser.add_subparsers(dest="command", required=True)
     sweep = sub.add_parser("sweep", help="k-sweep of one extraction method")
     families = sweep.add_subparsers(dest="family", required=True)

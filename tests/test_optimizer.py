@@ -78,12 +78,6 @@ class TestSearchSpace:
 
 
 class TestSampling:
-    def test_fixed_seed_reproduces_first_vectors(self):
-        space = SearchSpace("separable", 0.2)
-        first = sample_batch(space, make_rng(31), 10)
-        second = sample_batch(space, make_rng(31), 10)
-        assert np.array_equal(first, second)
-
     def test_batches_stay_inside_bounds(self):
         for family in FAMILIES:
             space = SearchSpace(family, -0.4, t_max=3.0)
@@ -102,33 +96,25 @@ class TestSampling:
 
 
 class TestEvaluatorMatchesProtocol:
+    @pytest.mark.parametrize("spec, k", [(SPEC, 0.3), (HamiltonianSpec(2.0, 4.0), -0.6),
+                                         (HamiltonianSpec(0.5, -3.0), -0.6),
+                                         (HamiltonianSpec(1.0, 0.0), -0.6)])
     @pytest.mark.parametrize("family", ["separable", "entangled"])
-    def test_batch_equals_best_outcome(self, family):
+    def test_batch_equals_best_outcome(self, family, spec, k):
         # the batch value is best_outcome at the evaluator's own basis and at
-        # least best_outcome at any other basis
-        space = SearchSpace(family, 0.3)
-        evaluator = WpEvaluator(space, SPEC)
+        # least best_outcome at any other basis, each scored in one stacked call
+        space = SearchSpace(family, k)
+        evaluator = WpEvaluator(space, spec)
         pts = sample_batch(space, make_rng(77), 100)
         batch = evaluator(pts)
+        rho0, t = initial_state(family, k, pts.T), pts[:, 2]
+        bases = [evaluator.best_basis(point) for point in pts]
+        at_best = MeasurementBasis(*np.array([(b.theta, b.phi) for b in bases]).T)
+        assert np.max(np.abs(batch - best_outcome(rho0, spec, t, at_best).w_p)) <= 1e-10
         rng = np.random.default_rng(78)
-        for point, value in zip(pts, batch):
-            rho0, t = initial_state(family, 0.3, point), point[2]
-            at_best = best_outcome(rho0, SPEC, t, evaluator.best_basis(point)).w_p
-            assert value == pytest.approx(at_best, abs=1e-10)
-            for _ in range(5):
-                basis = MeasurementBasis(np.pi * rng.random(), 2.0 * np.pi * rng.random())
-                assert value >= best_outcome(rho0, SPEC, t, basis).w_p - 1e-12
-
-    @pytest.mark.parametrize("spec", [HamiltonianSpec(2.0, 4.0), HamiltonianSpec(0.5, -3.0),
-                                      HamiltonianSpec(1.0, 0.0)])
-    @pytest.mark.parametrize("family", ["separable", "entangled"])
-    def test_other_hamiltonians_match_the_oracle(self, family, spec):
-        space = SearchSpace(family, -0.6)
-        evaluator = WpEvaluator(space, spec)
-        for point in sample_batch(space, make_rng(5), 20):
-            rho0 = initial_state(family, -0.6, point)
-            oracle = best_outcome(rho0, spec, point[2], evaluator.best_basis(point)).w_p
-            assert evaluator(point)[0] == pytest.approx(oracle, abs=1e-10)
+        others = MeasurementBasis(np.pi * rng.random((100, 5)), 2.0 * np.pi * rng.random((100, 5)))
+        w_p = best_outcome(rho0[:, None], spec, t[:, None], others).w_p
+        assert np.all(batch[:, None] >= w_p - 1e-12)
 
     def test_best_basis_breaks_ties_at_z(self):
         # without coupling, at t = 0 and k = 0, A vanishes: every basis ties
@@ -330,8 +316,7 @@ class TestOptimize:
     def test_separable_cli_rows_reach_the_reference_protocol(self, k):
         # ground auxiliary, sigma_z measurement: a point inside the search space
         i = int(np.argmin(np.abs(CLI_GRID - k)))
-        times = np.linspace(0.0, 10.0, 100_001)
-        peak = max(wp_closed_form(abs(CLI_GRID[i]), 0.0, SPEC, t) for t in times)
+        peak = wp_closed_form(abs(CLI_GRID[i]), 0.0, SPEC, np.linspace(0.0, 10.0, 100_001)).max()
         assert cli_row("separable", i).best_value >= SPEC.h * peak - 1e-6
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: at J/h = 100 the window holds "
