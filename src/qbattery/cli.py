@@ -37,8 +37,9 @@ EXIT_CONFIG = 2
 class RunConfig:
     """Resolved run configuration (the flags given over the defaults).
 
-    argparse types every flag, so the fields arrive typed; this class checks
-    only their ranges, which reject values the user typed."""
+    argparse types every flag given a value, and main refuses a flag given
+    none, so the fields arrive typed; this class checks only their ranges,
+    which reject values the user typed."""
 
     h: float = 1.0
     J: float | None = None
@@ -180,19 +181,21 @@ def _emit(path: str, header: str, rows, plot_script: str | None, y: str, title: 
     if not plot_script:
         return
     x = header.split(",")[0]
+    # ascii() writes each value as an ASCII literal, so the script is ASCII
+    # Python for any path
     script = f"""#!/usr/bin/env python3
-\"\"\"Auto-generated plot of {path}.\"\"\"
+{ascii(f"Auto-generated plot of {path}.")}
 import csv
 import matplotlib.pyplot as plt
 
-with open({path!r}) as f:
+with open({ascii(path)}) as f:
     rows = list(csv.DictReader(f))
-xs = [float(r[{x!r}]) for r in rows]
-ys = [float(r[{y!r}]) for r in rows]
+xs = [float(r[{ascii(x)}]) for r in rows]
+ys = [float(r[{ascii(y)}]) for r in rows]
 plt.plot(xs, ys, ".-")
-plt.xlabel({x!r})
-plt.ylabel({y!r} + " (units of h)")
-plt.title({title!r})
+plt.xlabel({ascii(x)})
+plt.ylabel({ascii(y)} + " (units of h)")
+plt.title({ascii(title)})
 plt.tight_layout()
 plt.show()
 """
@@ -264,6 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            # argparse stores [] for --FLAG=-- without calling type, and keeps
+            # the '' of --out=; either would pass for an unset flag below
+            if value in ([], ""):
+                raise ConfigError(f"argument --{name.replace('_', '-')}: expected one argument")
         cfg = resolve_config(args)
         if args.command == "sweep":
             return cmd_sweep(args.family, cfg, args.plot_script)

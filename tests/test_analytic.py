@@ -96,7 +96,11 @@ class TestExcitedDrain:
             for t in np.linspace(0.05, 2.5, 40)
         )
         assert gap > 0.5
-
+        # and it is its printed form 2hJ^2 sin((4h^2+J^2) t)/(4h^2+J^2), written out
+        times = np.linspace(0.0, 10.0, 101)
+        for spec, form in [(SPEC, np.sin(8.0 * times)),
+                           (HamiltonianSpec(0.5, 3.0), 0.9 * np.sin(10.0 * times))]:
+            assert np.max(np.abs(wp_excited_sine_variant(spec, times) - form)) < 1e-13
 
     def test_sine_variant_is_nan_where_its_phase_overflows(self):
         # (4h^2+J^2) t overflows at h = 1e200; the variant reports NaN instead of raising

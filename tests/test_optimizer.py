@@ -197,20 +197,6 @@ class TestEvaluatorMatchesProtocol:
         assert np.array_equal(evaluator(big), last)
 
     @pytest.mark.parametrize("family", ["separable", "entangled"])
-    def test_batched_call_stays_small_in_memory(self, family):
-        space = SearchSpace(family, 0.3)
-        evaluator = WpEvaluator(space, SPEC)
-        pts = sample_batch(space, make_rng(3), 8192)
-        evaluator(pts)
-        tracemalloc.start()
-        try:
-            evaluator(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3e6
-
-    @pytest.mark.parametrize("family", ["separable", "entangled"])
     def test_repeat_call_allocates_only_its_result(self, family):
         # the workspace is allocated with the evaluator, so an 8192-point call
         # allocates its 64 KiB result and a few small objects (67.6 kB
