@@ -112,15 +112,13 @@ def sweep_values(family: str, cfg: RunConfig) -> list[tuple[float, float, bool, 
         return list(pool.map(_optimize_task, tasks))
 
 
-def cmd_sweep(family: str, cfg: RunConfig, plot_script: str | None = None) -> int:
-    out = cfg.out or f"sweep_{family}.csv"
+def cmd_sweep(family: str, cfg: RunConfig, out: str, plot_script: str | None = None) -> int:
     values = sweep_values(family, cfg)
     _emit(out, "k,value,converged,samples,seed", values, plot_script, "value", f"{family} sweep")
     return EXIT_OK
 
 
-def cmd_inset(which: str, cfg: RunConfig, plot_script: str | None = None) -> int:
-    out = cfg.out or f"inset_{which}.csv"
+def cmd_inset(which: str, cfg: RunConfig, out: str, plot_script: str | None = None) -> int:
     if which == "fig2":
         pairs = zip(sweep_values("unitary", cfg), sweep_values("separable", cfg))
         header, rows = "k,diff", [(ku, vs - vu) for (ku, vu, *_), (_, vs, *_) in pairs]
@@ -148,8 +146,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def cmd_mps(cfg: RunConfig, grid_n: int, plot_script: str | None = None) -> int:
-    out = cfg.out or "mps.csv"
+def cmd_mps(cfg: RunConfig, grid_n: int, out: str, plot_script: str | None = None) -> int:
     report = analytic.mps_scan(grid_n, cfg.spec())
     s, theta = np.meshgrid(report.s_grid, report.theta_grid, indexing="ij")
     verdicts = np.where(report.passive, "passive", "extractable")
@@ -205,10 +202,13 @@ plt.show()
 
 
 def _argument_file_line(line: str) -> list[str]:
-    """One argument per @FILE line. A NUL byte, which no path can hold, is
-    refused here, before any work runs: open() would raise ValueError."""
+    """One argument per @FILE line. Refused here, before any work runs: a NUL
+    byte, which no path can hold (open() would raise ValueError), and a line
+    that names an @file, so argument files do not nest and no cycle forms."""
     if "\0" in line:
         raise ConfigError(f"argument file line {line!r} holds a NUL byte")
+    if line.startswith("@"):
+        raise ConfigError(f"argument file line {line!r} names an argument file: they do not nest")
     return [line]
 
 
@@ -273,13 +273,18 @@ def main(argv=None) -> int:
             if value in ([], ""):
                 raise ConfigError(f"argument --{name.replace('_', '-')}: expected one argument")
         cfg = resolve_config(args)
-        if args.command == "sweep":
-            return cmd_sweep(args.family, cfg, args.plot_script)
-        if args.command == "inset":
-            return cmd_inset(args.which, cfg, args.plot_script)
         if args.command == "verify":
             return cmd_verify(cfg)
-        return cmd_mps(cfg, args.grid_n, args.plot_script)
+        # the CSV path: --out, or the subcommand's own name, such as sweep_unitary.csv
+        names = [args.command] + [getattr(args, a) for a in ("family", "which") if hasattr(args, a)]
+        out = cfg.out or "_".join(names) + ".csv"
+        if args.plot_script and os.path.realpath(args.plot_script) == os.path.realpath(out):
+            raise ConfigError(f"--out and --plot-script name the same file {out!r}")
+        if args.command == "sweep":
+            return cmd_sweep(args.family, cfg, out, args.plot_script)
+        if args.command == "inset":
+            return cmd_inset(args.which, cfg, out, args.plot_script)
+        return cmd_mps(cfg, args.grid_n, out, args.plot_script)
     except (ConfigError, DomainError, MemoryError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -206,11 +206,10 @@ def joint_unitary(spec: HamiltonianSpec, t) -> np.ndarray:
     (HamiltonianSpec.w). H is J sigma_x on {|01>, |10>}, so U = cos(J t) -
     i sin(J t) sigma_x = [[c, s], [s, c]] there. With tau = h t and g = J/h the
     phases are W t = w tau and J t = g tau, and the amplitudes 2h/W = 2/w and
-    J/W = g/w lie in [-1, 1] at every scale of h.
+    J/W = g/w lie in [-1, 1] at every scale of h. Every time must be
+    non-negative and finite (qmath.evolution_time).
     """
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise DomainError("evolution time must be non-negative")
+    t = qmath.evolution_time(t)
     g, w, tau = spec.g, spec.w, spec.h * t
     wt, jt = w * tau, g * tau
     sin_wt = np.sin(wt)

@@ -4,7 +4,7 @@ Everything here is exact at dimension 2 or 4: tensor products, Hermitian
 eigendecomposition, unitary evolution built from the spectral decomposition
 (no series truncation), and the partial trace over the second qubit.
 Every function also takes stacks of operators (..., d, d), and evolve
-takes arrays of times.
+takes arrays of times, each non-negative and finite (evolution_time).
 All functions are pure and all arrays are treated as immutable values.
 
 Conventions: hbar = 1; the computational basis is the sigma_z eigenbasis
@@ -76,6 +76,17 @@ def hermitian_eig(m) -> EigenDecomposition:
     return EigenDecomposition(*np.linalg.eigh(a))
 
 
+def evolution_time(t) -> np.ndarray:
+    """t, a number or an array of times, as a float array; DomainError, naming
+    the first bad time, unless every time is non-negative and finite. NaN
+    fails the check, since every comparison with it is False."""
+    t = np.asarray(t, dtype=float)
+    valid = (t >= 0) & (t < np.inf)
+    if not valid.all():
+        raise DomainError(f"evolution time must be non-negative and finite, got {t[~valid][0]}")
+    return t
+
+
 def evolve(h_total, t) -> np.ndarray:
     """Unitary exp(-i*H*t) of a Hermitian generator, built spectrally.
 
@@ -84,9 +95,7 @@ def evolve(h_total, t) -> np.ndarray:
     h_total may be a stack (..., d, d) and t an array of times; they
     broadcast, and the result has one unitary per element, (..., d, d).
     """
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise DomainError("evolution time must be non-negative")
+    t = evolution_time(t)
     values, vectors = hermitian_eig(h_total)
     phases = np.exp(-1j * values * t[..., None])
     return (vectors * phases[..., None, :]) @ dagger(vectors)

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,7 @@ from qbattery.analytic import (
     wp_small_t,
 )
 from qbattery.battery import HamiltonianSpec
-from qbattery.errors import ConfigError, DomainError
+from qbattery.errors import ConfigError
 from qbattery.protocol import Z_BASIS, run_protocol
 
 SPEC = HamiltonianSpec()
@@ -108,27 +107,6 @@ class TestExcitedDrain:
         assert math.isnan(wp_excited_sine_variant(huge, 1e-200))
         assert np.all(np.isnan(wp_excited_sine_variant(huge, np.array([0.0, 1e-201]))))
 
-    def test_times_as_an_array(self):
-        times = np.linspace(0.0, 2.5, 9)
-        stacked = wp_excited_oracle(SPEC, times)
-        assert np.array_equal(stacked, [wp_excited_oracle(SPEC, t) for t in times])
-
-
-class TestStackedReferenceProtocol:
-    def test_arrays_equal_one_point_at_a_time(self):
-        rng = np.random.default_rng(98)
-        s, theta, t = rng.random(7), np.pi * rng.random(7), 10.0 * rng.random(7)
-        states = separable_initial_bloch(s, theta)
-        closed, small = wp_closed_form(s, theta, SPEC, t), wp_small_t(s, theta, SPEC)
-        for i in range(7):
-            assert np.array_equal(states[i], separable_initial_bloch(s[i], theta[i]))
-            assert closed[i] == wp_closed_form(s[i], theta[i], SPEC, t[i])
-            assert small[i] == wp_small_t(s[i], theta[i], SPEC)
-
-    def test_rejects_a_radius_out_of_range_inside_an_array(self):
-        with pytest.raises(DomainError):
-            separable_initial_bloch(np.array([0.5, 1.5]), 1.0)
-
 
 class TestEntanglementEntropy:
     def test_balanced_state_is_one_ebit(self):
@@ -165,16 +143,6 @@ class TestEntanglementEntropy:
             np.testing.assert_allclose(stacked, [scalar(k) for k in grid], rtol=0, atol=4.5e-16)
         assert not np.any(np.signbit(entanglement_entropy(np.array([-1.0, 1.0]))))
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            entanglement_entropy(1.0001)
-        with pytest.raises(DomainError):
-            entanglement_entropy(np.array([0.5, -1.0001]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            entanglement_entropy(math.nan)
-
 
 class TestMpsScan:
     def test_interior_point_extractable(self):
@@ -193,20 +161,6 @@ class TestMpsScan:
         report = mps_scan(101, HamiltonianSpec(1.0, j))
         assert report.passive_points() == [(1.0, math.pi)]
         assert np.array_equal(report.passive, report.max_wp <= 0.0)
-
-    @pytest.mark.parametrize(
-        "h, j, named",
-        [(1.0, 1e8, "J/h=100000000.0:"), (1.0, -1e9, "J/h=-1000000000.0:"),
-         (1.0, 3e-159, "J/h=3e-159:"), (3.0, 3e-160, "J/h=1e-160:"),
-         (1e-310, 0.0, "h=1e-310, J=0.0"), (1e-310, 2e-310, "h=1e-310, J=2e-310")],
-    )
-    def test_unresolved_sign_raises(self, h, j, named):
-        # the bracket cancels at large J/h and underflows at tiny J/h; at
-        # J/h = 3e-159 only points near the poles underflow, not s = 0. That
-        # error names J/h, which decides it. Below h of about 5.6e-310 the probe
-        # time 0.1/h overflows, even at J = 0, and that error names h and J
-        with pytest.raises(DomainError, match=re.escape(named)):
-            mps_scan(101, HamiltonianSpec(h, j))
 
     @pytest.mark.parametrize("j, passive", [(0.0, 101 * 101), (1.5e308, 1)])
     def test_scan_runs_where_two_h_overflows(self, j, passive):
@@ -236,10 +190,6 @@ class TestMpsScan:
         report = mps_scan(101, HamiltonianSpec(1.0, 0.0))
         assert np.all(report.max_wp == 0.0)
         assert not np.any(np.signbit(report.max_wp))
-
-    def test_rejects_degenerate_grid(self):
-        with pytest.raises(ConfigError):
-            mps_scan(1, SPEC)
 
     @pytest.mark.parametrize("h, j", [(1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (2.0, 8.0)])
     def test_default_probe_is_a_tenth_over_h_at_moderate_coupling(self, h, j):

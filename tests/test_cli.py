@@ -687,6 +687,21 @@ REFUSALS = [
                             (["mps", "--grid-n", "3"], "--out=a\0b.csv"),
                             (["sweep", "unitary", "--out=s.csv"], "--plot-script=p\0.py"),
                             (["sweep", "unitary", "--out=s.csv"], "@inner\0.args")]],
+    # argument files do not nest, so no cycle forms: a file that names itself would
+    # otherwise recurse until RecursionError
+    *[refusal(["sweep", "unitary", "@run.args"],
+              f"argument file line {line!r} names an argument file: they do not nest", content)
+      for line, content in [("@run.args", b"@run.args\n"),
+                            ("@inner.args", b"--k-points=3\n@inner.args")]],
+    # the plot script would overwrite the CSV, also where --out is the default name
+    *[refusal([*command, "--plot-script", script],
+              f"--out and --plot-script name the same file {out!r}")
+      for command, script, out in [
+          (["sweep", "unitary", "--k-points", "3", "--out", "p.py"], "p.py", "p.py"),
+          (["sweep", "unitary", "--out", "p.py"], "./p.py", "p.py"),
+          (["sweep", "unitary", "--k-points", "3"], "sweep_unitary.csv", "sweep_unitary.csv"),
+          (["inset", "fig3"], "inset_fig3.csv", "inset_fig3.csv"),
+          (["mps"], "mps.csv", "mps.csv")]],
     # inline a flag and its value are two arguments, in an @file one line flag=value
     *[refusal([*command, flag, "7"], f"unrecognized arguments: {flag} 7")
       for command, flag in UNREAD],
@@ -737,14 +752,14 @@ def test_refusal_exits_2_before_any_work(argv, argument_file, message):
 # The grammar test's pools. A flag draws from its own pool, or from NUMBERS, twice as often as
 # from JUNK; the flags that size the work or the pool keep small values (1_0 reads as 10)
 NUMBERS = ["0", "1", "-1", "0.5", "2", "1e5", "1e-300", "1e300", "1_0"]
-PATHS = ["é.csv", "a'b\".csv", "a\\b.csv", "q/", "-"]
+PATHS = ["é.csv", "a'b\".csv", "a\\b.csv", "q/", "-", "p.py"]
 POOLS = {"--k-points": ["0", "1", "2", "3"], "--budget": ["0", "1", "2000", "1_0"],
          "--grid-n": ["1", "2", "5"], "--threads": ["0", "1", "2"], "--out": PATHS,
          "--plot-script": PATHS}
 JUNK = ["--", "", "-", "@missing", "nan", "inf", "-inf", "1e400", "5e-324", "one"]
 # arguments and @file lines that no flag draws: a NUL goes in @file lines only
 STRAYS = ["9", "--k-pionts=9", "--t-probe=1", "@missing", "--"]
-FILE_STRAYS = ["", "--out=a\0b.csv", "@inner\0.args", "--h=--", "--plot-script=p\0.py"]
+FILE_STRAYS = ["", "--out=a\0b.csv", "@inner\0.args", "--h=--", "--plot-script=p\0.py", "@run.args"]
 # arguments in front of the drawn ones, which override them: no run is large or starts more
 # than 2 workers, and every CSV goes to a drawn path and meets a plot script
 BASE = {"sweep unitary": ["--k-points", "3"], "verify": [], "mps": ["--grid-n", "3"]}
@@ -790,3 +805,5 @@ def test_grammar_ends_in_exit_0_or_2_without_a_traceback(command_line):
     assert "Traceback" not in run[1] + run[2], run
     if run[0] == 2:
         assert_refused(run)
+    else:  # each file the run reports is there, so none overwrote another
+        assert len(run[3]) == run[1].count("wrote "), run

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qbattery import qmath
-from qbattery.errors import DimensionError, DomainError, HermiticityError
 from qbattery.qmath import I2, I4, SIGMA_X, SIGMA_Z
 
 
@@ -42,18 +41,11 @@ class TestKron:
             got = np.trace(qmath.kron(a, b))
             assert abs(got - np.trace(a) * np.trace(b)) < 1e-12
 
-    def test_rejects_four_dimensional_operand(self):
-        with pytest.raises(DimensionError):
-            qmath.kron(I4, I2)
-
-    def test_stacks_broadcast_and_equal_numpy_kron(self):
+    def test_equals_numpy_kron(self):
         rng = np.random.default_rng(5)
-        a = np.array([random_hermitian(rng, 2) for _ in range(6)])
-        b = random_hermitian(rng, 2)
-        stacked = qmath.kron(a, b)
-        assert stacked.shape == (6, 4, 4)
-        for i in range(6):
-            assert np.array_equal(stacked[i], np.kron(a[i], b))
+        for _ in range(6):
+            a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
+            assert np.array_equal(qmath.kron(a, b), np.kron(a, b))
 
 
 class TestHermitianEig:
@@ -81,26 +73,11 @@ class TestHermitianEig:
         second = qmath.hermitian_eig(m.copy())
         assert np.array_equal(first.vectors, second.vectors)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            qmath.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
     @pytest.mark.parametrize("dim", [2, 4])
-    def test_stack_equals_one_matrix_at_a_time(self, dim):
+    def test_values_ascend(self, dim):
         rng = np.random.default_rng(12)
-        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
-        values, vectors = qmath.hermitian_eig(stack)
-        assert values.shape == (2, 3, dim) and vectors.shape == (2, 3, dim, dim)
-        assert np.all(np.diff(values, axis=-1) >= 0)
-        for i in range(2):
-            for j in range(3):
-                single = qmath.hermitian_eig(stack[i, j])
-                assert np.array_equal(values[i, j], single.values)
-                assert np.array_equal(vectors[i, j], single.vectors)
-
-    def test_rejects_a_stack_of_wrong_dimension(self):
-        with pytest.raises(DimensionError):
-            qmath.hermitian_eig(np.zeros((5, 3, 3)))
+        stack = np.array([random_hermitian(rng, dim) for _ in range(6)])
+        assert np.all(np.diff(qmath.hermitian_eig(stack).values, axis=-1) >= 0)
 
 
 class TestEvolve:
@@ -111,27 +88,6 @@ class TestEvolve:
     def test_diagonal_generator(self):
         # exp(-i sigma_z pi) = diag(e^{-i pi}, e^{i pi}) = -I
         assert np.allclose(qmath.evolve(SIGMA_Z, np.pi), -I2, atol=1e-12)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(DomainError):
-            qmath.evolve(SIGMA_Z, -0.1)
-
-    def test_stacks_and_times_equal_single_calls(self):
-        # a stack (3, 1, 4, 4) of generators against times (2,): unitaries (3, 2, 4, 4)
-        rng = np.random.default_rng(13)
-        generators = np.array([random_hermitian(rng, 4) for _ in range(3)])[:, None]
-        times = 10.0 * rng.random(2)
-        stacked = qmath.evolve(generators, times)
-        assert stacked.shape == (3, 2, 4, 4)
-        for i in range(3):
-            for j in range(2):
-                assert np.array_equal(stacked[i, j], qmath.evolve(generators[i, 0], times[j]))
-        with pytest.raises(DomainError):
-            qmath.evolve(generators, np.array([0.5, -0.1]))
-
-    def test_rejects_non_hermitian_generator(self):
-        with pytest.raises(HermiticityError):
-            qmath.evolve(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
 class TestPartialTraceSecond:
@@ -168,15 +124,3 @@ class TestPartialTraceSecond:
         rng = np.random.default_rng(8)
         m = random_hermitian(rng, 4)
         assert abs(np.trace(qmath.partial_trace_second(m)) - np.trace(m)) < 1e-12
-
-    def test_stack_equals_one_operator_at_a_time(self):
-        rng = np.random.default_rng(6)
-        stack = np.array([random_hermitian(rng, 4) for _ in range(5)]).reshape(5, 1, 4, 4)
-        traced = qmath.partial_trace_second(stack)
-        assert traced.shape == (5, 1, 2, 2)
-        for i in range(5):
-            assert np.array_equal(traced[i, 0], qmath.partial_trace_second(stack[i, 0]))
-
-    def test_rejects_single_qubit_input(self):
-        with pytest.raises(DimensionError):
-            qmath.partial_trace_second(I2)

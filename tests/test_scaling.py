@@ -7,7 +7,6 @@ import pytest
 
 from qbattery.analytic import mps_scan
 from qbattery.battery import BlochVector, HamiltonianSpec
-from qbattery.errors import DomainError
 from qbattery.optimizer import SearchSpace, WpEvaluator, optimize
 from qbattery.protocol import (
     EntangledInitParams,
@@ -103,10 +102,3 @@ def test_optimize_runs_where_two_h_overflows():
     assert big.best_value / 1e308 == pytest.approx(base.best_value, rel=1e-12)
     np.testing.assert_allclose(big.best_params * [1.0, 1.0, 1e308], base.best_params, rtol=1e-12)
     assert (big.samples_used, big.converged) == (base.samples_used, base.converged)
-
-
-def test_refuses_where_h_times_one_plus_k_overflows():
-    # w_p reaches h(1 + k), which is 1.9e308 here
-    space = SearchSpace("separable", 0.9, t_max=1e-307)
-    with pytest.raises(DomainError, match=r"overflows at h=1e\+308, k=0\.9"):
-        optimize(space, HamiltonianSpec(1e308, 1.5e308), 2000, 1)
